@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand produces a ``Report``: the echoed command, its
+Every subcommand handler returns a ``Report`` (the echoed command, its
 parameters, a JSON-ready result payload, and a list of named pass/fail
-checks.  Exit status is 0 on success, 1 when any check fails, and 2 on
-usage errors (including level-cap violations, whose messages name the
-cap).  Integer values are serialized as decimal strings in JSON so that
+checks) together with the text renderer and the CSV renderer of its
+payload; the CSV renderer is ``None`` where CSV is not defined.  Exit
+status is 0 on success, 1 when any check fails, and 2 on usage errors
+(including level-cap violations, whose messages name the cap).  Integer
+values are serialized as decimal strings in JSON so that
 arbitrary-precision results survive any consumer; subsets appear both as
 sorted integer arrays and as their printed ``V_m`` index.
 """
@@ -14,13 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
+from . import checks, cyclotomic, fusion, homology, invariants, tilting
 from .errors import Char2CatError
 
 __all__ = ["Report", "run", "main"]
@@ -55,8 +55,6 @@ def _jsonify(obj):
         return obj
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         return obj
     if isinstance(obj, dict):
@@ -98,8 +96,7 @@ def _v_label(mask: int) -> str:
 
 
 def _subset_payload(level: int, mask: int) -> dict:
-    idx = fusion.SimpleIndex(level, mask)
-    return {"index": mask, "subset": list(idx.subset)}
+    return {"index": mask, "subset": list(fusion.SimpleIndex(level, mask).subset)}
 
 
 def _elt_payload(elt: fusion.FusionElt) -> list:
@@ -114,7 +111,119 @@ def _cyc_payload(e: cyclotomic.CycInt) -> dict:
     return {"level": e.level, "power_coeffs": list(e.coeffs), "float": e.to_float()}
 
 
-def _cmd_fusion(args) -> Report:
+def _matrix_payload(m: int, mat: np.ndarray) -> dict:
+    size = mat.shape[0]
+    return {
+        "index": m,
+        "labels": [_v_label(s) for s in range(size)],
+        "matrix": [[int(v) for v in row] for row in mat],
+    }
+
+
+# ----------------------------------------------------------------------
+# renderers: a text renderer returns the lines above the check lines, a
+# CSV renderer returns the rows
+
+
+def _terms(pairs) -> str:
+    """``k*label + ...`` over ``(label, k)`` pairs, bare where ``k`` is 1,
+    ``0`` when there are no terms."""
+    return " + ".join(lbl if k == 1 else f"{k}*{lbl}" for lbl, k in pairs) or "0"
+
+
+def _elt_terms(entries) -> str:
+    return _terms((_v_label(e["index"]), e["coeff"]) for e in entries)
+
+
+def _tilt_terms(summands) -> str:
+    return _terms((f"T{s['index']}", s["mult"]) for s in summands)
+
+
+def _text_fields(res) -> list:
+    return [f"{key}: {val}" for key, val in res.items()]
+
+
+def _text_matrix(res) -> list:
+    labels = res["labels"]
+    width = max(len(lbl) for lbl in labels) + 1
+    cells = [[str(v) for v in row] for row in res["matrix"]]
+    colw = max(len(c) for row in cells + [labels] for c in row) + 1
+    lines = [" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels)]
+    for lbl, row in zip(labels, cells):
+        lines.append(lbl.ljust(width) + "".join(c.rjust(colw + 1) for c in row))
+    return lines
+
+
+def _text_ext1(res) -> list:
+    return _text_matrix(res) + [
+        "components: "
+        + "; ".join("{" + ", ".join(map(str, c)) + "}" for c in res["components"])
+    ]
+
+
+def _csv_matrix(res) -> list:
+    return [[""] + res["labels"]] + [
+        [lbl] + row for lbl, row in zip(res["labels"], res["matrix"])
+    ]
+
+
+def _text_product(res) -> list:
+    return [
+        f"{_v_label(res['left']['index'])} * {_v_label(res['right']['index'])}"
+        f" = {_elt_terms(res['product'])}"
+    ]
+
+
+def _text_structure(res) -> list:
+    return [f"level {res['level']}: {len(res['nonzero'])} nonzero constants"] + [
+        f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}"
+        for e in res["nonzero"]
+    ]
+
+
+def _csv_structure(res) -> list:
+    keys = ["left", "right", "out", "coeff"]
+    return [keys] + [[e[k] for k in keys] for e in res["nonzero"]]
+
+
+def _text_tilt_table(res) -> list:
+    return [f"T{row['m']} x V = {_tilt_terms(row['summands'])}" for row in res["rows"]]
+
+
+def _csv_tilt_table(res) -> list:
+    return [["m", "index", "mult"]] + [
+        [row["m"], s["index"], s["mult"]] for row in res["rows"] for s in row["summands"]
+    ]
+
+
+def _text_decompose(res) -> list:
+    return [f"V^{res['power']} = {_tilt_terms(res['summands'])}"]
+
+
+def _text_functor(res) -> list:
+    return [f"T{row['m']} -> {_elt_terms(row['image'])}" for row in res["rows"]]
+
+
+def _csv_invariants(res) -> list:
+    return [res["columns"]] + res["rows"]
+
+
+def _text_invariants(res) -> list:
+    return [" ".join(map(str, row)) for row in _csv_invariants(res)]
+
+
+def _text_verify(res) -> list:
+    return [
+        f"ran {res['checks_run']} checks at max level {res['max_level']}; "
+        f"{res['failures']} failure(s)"
+    ]
+
+
+# ----------------------------------------------------------------------
+# handlers: each returns (report, text renderer, CSV renderer or None)
+
+
+def _cmd_fusion(args) -> tuple:
     n = args.level
     if (args.left is None) != (args.right is None):
         raise ValueError("--left and --right must be given together")
@@ -143,8 +252,9 @@ def _cmd_fusion(args) -> Report:
             all(c >= 0 for _, c in prod.coeffs),
             "a product of basis classes has nonnegative coefficients",
         )
-        return rep
-    tensor = fusion.structure_tensor(n, method="both")
+        return rep, _text_product, None
+    tensor = fusion.structure_tensor(n)
+    recursion = fusion._structure_from_recursion(n)
     nz = np.argwhere(tensor != 0)
     rep = Report(
         "fusion",
@@ -159,62 +269,51 @@ def _cmd_fusion(args) -> Report:
             ],
         },
     )
-    vals = tensor[tensor != 0]
     rep.add_check(
         "nonzero-coefficients-are-powers-of-two",
-        bool(((vals & (vals - 1)) == 0).all()),
-        f"{vals.size} nonzero entries",
-    )
-    rep.add_check(
-        "iteration-matches-level-recursion", True,
-        "both construction routes were computed and compared entrywise",
-    )
-    return rep
-
-
-def _matrix_payload(m: int, mat: np.ndarray) -> dict:
-    size = mat.shape[0]
-    return {
-        "index": m,
-        "labels": [_v_label(s) for s in range(size)],
-        "matrix": [[int(v) for v in row] for row in mat],
-    }
-
-
-def _cmd_cartan(args) -> Report:
-    mat = homology.cartan(args.index)
-    rep = Report("cartan", {"index": args.index}, _matrix_payload(args.index, mat))
-    rep.add_check("symmetric", bool((mat == mat.T).all()), "Cartan matrices are symmetric")
-    nz = [int(v) for v in mat.flatten() if v]
-    rep.add_check(
-        "nonzero-entries-are-powers-of-two",
-        all(v > 0 and v & (v - 1) == 0 for v in nz),
+        checks.nonzero_powers_of_two(tensor),
         f"{len(nz)} nonzero entries",
     )
-    return rep
+    rep.add_check(
+        "iteration-matches-level-recursion", np.array_equal(tensor, recursion),
+        "generator iteration and level recursion compared entrywise",
+    )
+    return rep, _text_structure, _csv_structure
 
 
-def _cmd_ext1(args) -> Report:
+def _cmd_cartan(args) -> tuple:
+    mat = homology.cartan(args.index)
+    rep = Report("cartan", {"index": args.index}, _matrix_payload(args.index, mat))
+    rep.add_check("symmetric", checks.symmetric(mat), "Cartan matrices are symmetric")
+    rep.add_check(
+        "nonzero-entries-are-powers-of-two",
+        checks.nonzero_powers_of_two(mat),
+        f"{np.count_nonzero(mat)} nonzero entries",
+    )
+    return rep, _text_matrix, _csv_matrix
+
+
+def _cmd_ext1(args) -> tuple:
     m = args.index
     mat = homology.ext1_matrix(m)
     comps = homology.block_components(m)
     payload = _matrix_payload(m, mat)
     payload["components"] = [list(c) for c in comps]
     rep = Report("ext1", {"index": m}, payload)
-    rep.add_check("symmetric", bool((mat == mat.T).all()), "")
+    rep.add_check("symmetric", checks.symmetric(mat), "")
     rep.add_check(
         "entries-are-zero-or-one",
         all(int(v) in (0, 1) for v in mat.flatten()),
         "",
     )
     rep.add_check(
-        "component-count", True,
+        "component-count", len(comps) == checks.expected_component_count(m),
         f"{len(comps)} connected component(s) in the Ext/Cartan graph",
     )
-    return rep
+    return rep, _text_ext1, _csv_matrix
 
 
-def _cmd_fpdim(args) -> Report:
+def _cmd_fpdim(args) -> tuple:
     modes = [args.simple is not None, args.category, args.algebra]
     if sum(modes) != 1:
         raise ValueError("choose exactly one of --simple, --category, --algebra")
@@ -233,10 +332,11 @@ def _cmd_fpdim(args) -> Report:
             abs(conj[0]) >= max(abs(c) for c in conj) - 1e-9 and conj[0] > 0,
             "the dimension dominates its conjugates in absolute value",
         )
-        return rep
+        return rep, _text_fields, None
     if args.category:
         m = args.level  # with --category the value is the chain index
-        val = homology.category_fpdim(m)
+        val = homology._category_fpdim_from_projectives(m)
+        closed = homology._category_fpdim_closed_form(m)
         rep = Report(
             "fpdim",
             {"level": m, "category": True},
@@ -249,10 +349,10 @@ def _cmd_fpdim(args) -> Report:
             },
         )
         rep.add_check(
-            "projective-sum-matches-closed-form", True,
-            "both routes were computed and compared exactly",
+            "projective-sum-matches-closed-form", val == closed,
+            "the projective sum and the closed form compared exactly",
         )
-        return rep
+        return rep, _text_fields, None
     n = args.level
     val = homology.algebra_fpdim(n)
     rep = Report(
@@ -266,10 +366,10 @@ def _cmd_fpdim(args) -> Report:
         cyclotomic.embed(val, n + 1) == sq,
         "embedded value equals the squared generator one level up",
     )
-    return rep
+    return rep, _text_fields, None
 
 
-def _cmd_tilt(args) -> Report:
+def _cmd_tilt(args) -> tuple:
     modes = [args.table, args.decompose is not None, args.functor is not None]
     if sum(modes) != 1:
         raise ValueError("choose exactly one of --table, --decompose, --functor")
@@ -289,7 +389,7 @@ def _cmd_tilt(args) -> Report:
             "top-summand-multiplicity-one", lead_ok,
             "each tensor-by-degree-1 row contains the next index exactly once",
         )
-        return rep
+        return rep, _text_tilt_table, _csv_tilt_table
     if args.decompose is not None:
         r = args.decompose
         ts = tilting.tensor_power_decompose(r)
@@ -302,7 +402,7 @@ def _cmd_tilt(args) -> Report:
             "total-dimension-is-2^r", ts.dim() == 1 << r,
             f"dimension {ts.dim()}",
         )
-        return rep
+        return rep, _text_decompose, None
     n = args.functor
     rows = []
     for m in range(args.max_m + 1):
@@ -316,10 +416,10 @@ def _cmd_tilt(args) -> Report:
         "kills-first-index-above-quotient", img_top.is_zero,
         f"index {top} maps to zero at level {n}",
     )
-    return rep
+    return rep, _text_functor, None
 
 
-def _cmd_invariants(args) -> Report:
+def _cmd_invariants(args) -> tuple:
     n, top = args.level, args.max_m
     routes = ["recursion", "paths", "series"] if args.route == "all" else [args.route]
     columns = {"recursion": [], "paths": [], "series": []}
@@ -330,14 +430,7 @@ def _cmd_invariants(args) -> Report:
             invariants.path_count((1 << (n + 1)) - 1, 2 * m) for m in range(top + 1)
         ]
     if "series" in routes:
-        sf = invariants.series_f(n, top)
-        col = []
-        for m in range(top + 1):
-            c = sf.coefficient(m)
-            if c.denominator != 1:
-                raise Char2CatError(f"series coefficient {m} is not an integer: {c}")
-            col.append(c.numerator)
-        columns["series"] = col
+        columns["series"] = list(invariants.series_f(n, top).coeffs)
     rows = [[m] + [columns[r][m] for r in routes] for m in range(top + 1)]
     rep = Report(
         "invariants",
@@ -347,10 +440,10 @@ def _cmd_invariants(args) -> Report:
     if len(routes) > 1:
         agree = all(len(set(row[1:])) == 1 for row in rows)
         rep.add_check("routes-agree", agree, f"{len(routes)} routes over m <= {top}")
-    return rep
+    return rep, _text_invariants, _csv_invariants
 
 
-def _cmd_minpoly(args) -> Report:
+def _cmd_minpoly(args) -> tuple:
     n = args.level
     poly = cyclotomic.min_poly(n)
     rep = Report(
@@ -359,409 +452,40 @@ def _cmd_minpoly(args) -> Report:
          "root_float": cyclotomic.delta_float(n)},
     )
     if n >= 1:
-        prev = cyclotomic.min_poly(n - 1)
-        composed = cyclotomic.IntPoly(
-            cyclotomic._compose_square_minus_two(prev.coeffs)
-        )
         rep.add_check(
-            "composition-step", composed == poly,
+            "composition-step", checks.composition_step(n),
             "level-n polynomial is the previous one composed with x^2 - 2",
         )
-    return rep
+    return rep, _text_fields, None
 
 
-# ----------------------------------------------------------------------
-# verification suite
-
-
-def _verify_checks(max_level: int) -> dict:
-    """Named pure checks, each returning (passed, detail)."""
-    small = min(max_level, 5)
-
-    def cyclotomic_composition():
-        ok = all(
-            cyclotomic.min_poly(k)
-            == cyclotomic.IntPoly(
-                cyclotomic._compose_square_minus_two(cyclotomic.min_poly(k - 1).coeffs)
-            )
-            for k in range(1, max_level + 1)
-        )
-        return ok, f"levels 1..{max_level}"
-
-    def d_basis_roundtrip():
-        for n in range(small + 1):
-            for mask in range(1 << n):
-                e = cyclotomic.d_basis_element(mask, n)
-                vec = cyclotomic.to_d_basis(e)
-                if vec != [1 if k == mask else 0 for k in range(1 << n)]:
-                    return False, f"level {n} mask {mask}"
-        return True, f"levels 0..{small}"
-
-    def d_basis_vs_embedded_product():
-        for n in range(small + 1):
-            for mask in range(1 << n):
-                prod = cyclotomic.CycInt.one(n)
-                for j in range(1, n + 1):
-                    if mask >> (j - 1) & 1:
-                        prod = prod * cyclotomic.embed(cyclotomic.CycInt.delta(j), n)
-                if prod != cyclotomic.d_basis_element(mask, n):
-                    return False, f"level {n} mask {mask}"
-        return True, f"levels 0..{small}"
-
-    def structure_routes():
-        for n in range(small + 1):
-            gen = fusion._structure_from_generators(n)
-            rec = fusion._structure_from_recursion(n)
-            ora = fusion._structure_from_oracle(n)
-            if not (np.array_equal(gen, rec) and np.array_equal(gen, ora)):
-                return False, f"level {n}"
-        return True, f"three routes, levels 0..{small}"
-
-    def structure_powers_of_two():
-        for n in range(small + 1):
-            t = fusion._structure_from_generators(n)
-            vals = t[t != 0]
-            if not ((vals & (vals - 1)) == 0).all():
-                return False, f"level {n}"
-        return True, f"levels 0..{small}"
-
-    def structure_self_dual():
-        for n in range(small + 1):
-            t = fusion._structure_from_generators(n)
-            for s in range(1 << n):
-                if t[s, s, 0] < 1:
-                    return False, f"level {n} mask {s}"
-        return True, "every class pairs with itself into the unit"
-
-    def mult_matrix_routes():
-        lev = min(max_level + 2, 10)
-        for n in range(lev + 1):
-            if not np.array_equal(
-                fusion.mult_matrix(n, "direct"), fusion.mult_matrix(n, "recursive")
-            ):
-                return False, f"level {n}"
-            if cyclotomic.eval_min_poly_at_matrix(n, fusion.mult_matrix(n)).any():
-                return False, f"annihilation fails at level {n}"
-        return True, f"direct = recursive and annihilation, levels 0..{lev}"
-
-    def frobenius_rule():
-        lev = min(max_level + 2, 8)
-        for n in range(2, lev + 1):
-            tw = fusion.frobenius_twist(fusion.simple_elt(n, 1 << (n - 1)))
-            if tw.as_dict() != {1 << (n - 2): 1}:
-                return False, f"level {n}"
-        return True, f"top generator shifts down, levels 2..{lev}"
-
-    def frobenius_multiplicative():
-        lev = min(max_level, 4)
-        for n in range(lev + 1):
-            for s in range(0, 1 << n, 2):
-                for t in range(0, 1 << n, 2):
-                    a, b = fusion.simple_elt(n, s), fusion.simple_elt(n, t)
-                    lhs = fusion.frobenius_twist(fusion.product(a, b))
-                    rhs = fusion.product(
-                        fusion.frobenius_twist(a), fusion.frobenius_twist(b)
-                    )
-                    if lhs != rhs:
-                        return False, f"level {n}, masks {s},{t}"
-        return True, f"on twist-nonzero classes, levels 0..{lev}"
-
-    def chebyshev_clebsch_gordan():
-        for a in range(0, 25, 3):
-            for b in range(0, 25, 4):
-                lhs = chebyshev.cheb_q(a) * chebyshev.cheb_q(b)
-                rhs = cyclotomic.IntPoly(())
-                for k in range(min(a, b) + 1):
-                    rhs = rhs + chebyshev.cheb_q(a + b - 2 * k)
-                if lhs != rhs:
-                    return False, f"degrees {a},{b}"
-        return True, "product-to-sum identity on sampled degree pairs"
-
-    def chebyshev_annihilation():
-        lev = min(max_level + 2, 8)
-        for n in range(lev + 1):
-            xn = (
-                fusion.simple_elt(n, 1 << (n - 1)) if n else fusion.fusion_elt(0, {})
-            )
-            if not chebyshev.eval_poly(chebyshev.cheb_q((1 << (n + 1)) - 1), xn).is_zero:
-                return False, f"level {n}"
-            top = chebyshev.eval_poly(chebyshev.cheb_q((1 << n) - 1), xn)
-            if top.as_dict() != {(1 << n) - 1: 1}:
-                return False, f"top image at level {n}"
-        return True, f"levels 0..{lev}"
-
-    def tilting_triangular():
-        for m in range(41):
-            if tilting.tilt_tensor_v(m).as_dict().get(m + 1) != 1:
-                return False, f"index {m}"
-        return True, "tensor-by-degree-1 is unitriangular, indices 0..40"
-
-    def tilting_g_polys():
-        for k in range(min(max_level + 2, 7) + 1):
-            if tilting.in_T1_polynomial((1 << k) - 1) != chebyshev.cheb_q((1 << k) - 1):
-                return False, f"k={k}"
-        return True, "degree-(2^k - 1) polynomials match the Chebyshev family"
-
-    def tilting_functor_multiplicative():
-        n = min(max_level, 4)
-        for a in range(0, 15, 2):
-            for b in range(1, 15, 3):
-                prod = tilting.decompose(
-                    tilting.char_mul(tilting.tilt_char(a), tilting.tilt_char(b))
-                )
-                lhs = tilting.functor_to_fusion(prod, n)
-                rhs = fusion.product(
-                    tilting.functor_to_fusion(tilting.TiltSum.from_dict({a: 1}), n),
-                    tilting.functor_to_fusion(tilting.TiltSum.from_dict({b: 1}), n),
-                )
-                if lhs != rhs:
-                    return False, f"indices {a},{b} at level {n}"
-        return True, f"sampled index pairs at level {n}"
-
-    def invariants_triple():
-        n_max = min(max_level, 4)
-        for n in range(n_max + 1):
-            sf = invariants.series_f(n, 12)
-            for m in range(13):
-                a = invariants.d_recursive(m, n)
-                b = invariants.path_count((1 << (n + 1)) - 1, 2 * m)
-                if not (a == b == sf.coefficient(m)):
-                    return False, f"(m, n) = ({m}, {n})"
-        return True, f"three routes, levels 0..{n_max}, orders 0..12"
-
-    def verlinde_qdims():
-        for n in range(1, min(max_level + 1, 6)):
-            topl = (1 << (n + 1)) - 2
-            for a in range(0, topl + 1, max(1, topl // 4)):
-                for b in range(0, topl + 1, max(1, topl // 4)):
-                    lhs = invariants.verlinde_qdim(a, n) * invariants.verlinde_qdim(b, n)
-                    rhs = sum(
-                        invariants.verlinde_qdim(c, n)
-                        for c in invariants.verlinde_product(a, b, n)
-                    )
-                    if abs(lhs - rhs) > 1e-9:
-                        return False, f"labels {a},{b} at level {n}"
-        return True, "quantum dimensions multiplicative within 1e-9"
-
-    def homology_cartan():
-        for m in range(2 * max_level + 2):
-            car = homology.cartan(m)
-            if not (car == car.T).all():
-                return False, f"index {m} not symmetric"
-            for v in car.flatten():
-                iv = int(v)
-                if iv and (iv < 0 or iv & (iv - 1)):
-                    return False, f"index {m} entry {iv}"
-        return True, f"symmetric with power-of-two entries, indices 0..{2 * max_level + 1}"
-
-    def homology_ext_stabilizes():
-        for s in range(16):
-            for t in range(16):
-                stab = 2 * max(s.bit_length(), t.bit_length(), 0) + 1
-                vals = {homology.ext1_dim(m, s, t) for m in range(stab, stab + 8)}
-                if len(vals) != 1:
-                    return False, f"masks {s},{t}"
-        return True, "values constant beyond the stabilization index"
-
-    def homology_dim_routes():
-        for m in range(2 * max_level + 2):
-            homology.category_fpdim(m)  # raises on any internal disagreement
-            for smask in range(1 << (m // 2)):
-                homology.proj_fpdim(m, smask)
-        return True, f"projective and total dimensions, indices 0..{2 * max_level + 1}"
-
-    def homology_doubling():
-        for n in range(1, max_level + 1):
-            even = homology.category_fpdim(2 * n)
-            odd = homology.category_fpdim(2 * n - 1)
-            lhs = even.num * odd.den
-            rhs = cyclotomic.embed(odd.num, even.level) * (2 * even.den)
-            if lhs != rhs:
-                return False, f"index pair {2 * n - 1},{2 * n}"
-        return True, "each even index doubles the preceding odd one"
-
-    def homology_blocks():
-        for m in range(1, 2 * max_level + 2, 2):
-            if len(homology.block_components(m)) != 1:
-                return False, f"odd index {m} disconnected"
-        return True, "odd indices are single blocks"
-
-    return {
-        "chebyshev/annihilation": chebyshev_annihilation,
-        "chebyshev/clebsch-gordan": chebyshev_clebsch_gordan,
-        "cyclotomic/composition-tower": cyclotomic_composition,
-        "cyclotomic/d-basis-roundtrip": d_basis_roundtrip,
-        "cyclotomic/d-basis-vs-embedded-product": d_basis_vs_embedded_product,
-        "fusion/frobenius-multiplicative": frobenius_multiplicative,
-        "fusion/frobenius-rule": frobenius_rule,
-        "fusion/mult-matrix-routes": mult_matrix_routes,
-        "fusion/self-dual": structure_self_dual,
-        "fusion/structure-powers-of-two": structure_powers_of_two,
-        "fusion/structure-routes": structure_routes,
-        "homology/blocks-odd-connected": homology_blocks,
-        "homology/cartan-shape": homology_cartan,
-        "homology/category-doubling": homology_doubling,
-        "homology/dimension-routes": homology_dim_routes,
-        "homology/ext-stabilization": homology_ext_stabilizes,
-        "invariants/triple-agreement": invariants_triple,
-        "invariants/verlinde-qdims": verlinde_qdims,
-        "tilting/functor-multiplicative": tilting_functor_multiplicative,
-        "tilting/g-vs-chebyshev": tilting_g_polys,
-        "tilting/tensor-triangular": tilting_triangular,
-    }
-
-
-def _cmd_verify(args) -> Report:
-    checks = _verify_checks(args.max_level)
-    names = sorted(checks)
-
-    def run_one(name):
+def _cmd_verify(args) -> tuple:
+    rep = Report("verify", {"max_level": args.max_level}, {"max_level": args.max_level})
+    for name, check in sorted(checks.CHECKS.items()):
         try:
-            passed, detail = checks[name]()
+            passed, detail = check(args.max_level)
         except Exception as exc:  # a crashed check is a failed check
-            return name, False, f"raised {type(exc).__name__}: {exc}"
-        return name, passed, detail
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(name) for name in names]
-    results.sort(key=lambda r: r[0])
-    rep = Report(
-        "verify",
-        {"max_level": args.max_level, "jobs": args.jobs},
-        {
-            "max_level": args.max_level,
-            "checks_run": len(results),
-            "failures": sum(1 for _, ok, _ in results if not ok),
-        },
-    )
-    for name, ok, detail in results:
-        rep.add_check(name, ok, detail)
-    return rep
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        rep.add_check(name, passed, detail)
+    rep.result["checks_run"] = len(rep.checks)
+    rep.result["failures"] = sum(not c["pass"] for c in rep.checks)
+    return rep, _text_verify, None
 
 
-# ----------------------------------------------------------------------
-# rendering
-
-
-def _render_text(report: Report) -> str:
-    lines = []
-    res = report.result
-    cmd = report.command
-    if cmd in ("cartan", "ext1"):
-        labels = res["labels"]
-        width = max(len(lbl) for lbl in labels) + 1
-        cells = [[str(v) for v in row] for row in res["matrix"]]
-        colw = max(
-            max(max(len(c) for c in row) for row in cells),
-            max(len(lbl) for lbl in labels),
-        ) + 1
-        lines.append(" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels))
-        for lbl, row in zip(labels, cells):
-            lines.append(lbl.ljust(width) + "".join(c.rjust(colw + 1) for c in row))
-        if cmd == "ext1":
-            lines.append(
-                "components: "
-                + "; ".join("{" + ", ".join(map(str, c)) + "}" for c in res["components"])
-            )
-    elif cmd == "fusion" and "product" in res:
-        def fmt(entry):
-            coeff = entry["coeff"]
-            lbl = _v_label(entry["index"])
-            return lbl if coeff == 1 else f"{coeff}*{lbl}"
-        rhs = " + ".join(fmt(e) for e in res["product"]) or "0"
-        lines.append(
-            f"{_v_label(res['left']['index'])} * {_v_label(res['right']['index'])}"
-            f" = {rhs}"
-        )
-    elif cmd == "fusion":
-        lines.append(f"level {res['level']}: {len(res['nonzero'])} nonzero constants")
-        for e in res["nonzero"]:
-            lines.append(
-                f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}"
-            )
-    elif cmd == "fpdim":
-        for key, val in res.items():
-            lines.append(f"{key}: {val}")
-    elif cmd == "tilt" and "rows" in res and "level" not in res:
-        for row in res["rows"]:
-            terms = " + ".join(
-                (f"{s['mult']}*T{s['index']}" if s["mult"] != 1 else f"T{s['index']}")
-                for s in row["summands"]
-            )
-            lines.append(f"T{row['m']} x V = {terms or '0'}")
-    elif cmd == "tilt" and "rows" in res:
-        for row in res["rows"]:
-            terms = " + ".join(
-                (f"{e['coeff']}*{_v_label(e['index'])}" if e["coeff"] != 1
-                 else _v_label(e["index"]))
-                for e in row["image"]
-            )
-            lines.append(f"T{row['m']} -> {terms or '0'}")
-    elif cmd == "tilt":
-        terms = " + ".join(
-            (f"{s['mult']}*T{s['index']}" if s["mult"] != 1 else f"T{s['index']}")
-            for s in res["summands"]
-        )
-        lines.append(f"V^{res['power']} = {terms or '0'}")
-    elif cmd == "invariants":
-        lines.append(" ".join(res["columns"]))
-        for row in res["rows"]:
-            lines.append(" ".join(str(v) for v in row))
-    elif cmd == "minpoly":
-        lines.append(f"level: {res['level']}")
-        lines.append(f"degree: {res['degree']}")
-        lines.append(f"coeffs: {res['coeffs']}")
-        lines.append(f"root_float: {res['root_float']}")
-    elif cmd == "verify":
-        lines.append(
-            f"ran {res['checks_run']} checks at max level {report.params['max_level']}; "
-            f"{res['failures']} failure(s)"
-        )
-    else:  # pragma: no cover - all commands are handled above
-        lines.append(json.dumps(_jsonify(res)))
+def _render(report: Report, fmt: str, text, csv) -> str:
+    if fmt == "json":
+        return emit_json(report) + "\n"
+    if fmt == "csv":
+        if csv is None:
+            raise ValueError(f"--format csv is not defined for this {report.command} mode")
+        return "\n".join(",".join(map(str, row)) for row in csv(report.result)) + "\n"
+    lines = text(report.result)
     for c in report.checks:
         lines.append(
             f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}"
             + (f" - {c['detail']}" if c["detail"] else "")
         )
     return "\n".join(lines) + "\n"
-
-
-def _render_csv(report: Report) -> str:
-    res = report.result
-    cmd = report.command
-    rows: list[list] = []
-    if cmd in ("cartan", "ext1"):
-        rows.append([""] + res["labels"])
-        for lbl, row in zip(res["labels"], res["matrix"]):
-            rows.append([lbl] + [str(v) for v in row])
-    elif cmd == "invariants":
-        rows.append(res["columns"])
-        for row in res["rows"]:
-            rows.append([str(v) for v in row])
-    elif cmd == "fusion" and "nonzero" in res:
-        rows.append(["left", "right", "out", "coeff"])
-        for e in res["nonzero"]:
-            rows.append([str(e["left"]), str(e["right"]), str(e["out"]), str(e["coeff"])])
-    elif cmd == "tilt" and "rows" in res and "level" not in res:
-        rows.append(["m", "index", "mult"])
-        for row in res["rows"]:
-            for s in row["summands"]:
-                rows.append([str(row["m"]), str(s["index"]), str(s["mult"])])
-    else:
-        raise ValueError(f"--format csv is not defined for this {cmd} payload")
-    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
-
-
-def _render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return emit_json(report) + "\n"
-    if fmt == "csv":
-        return _render_csv(report)
-    return _render_text(report)
 
 
 # ----------------------------------------------------------------------
@@ -835,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the cross-check suite")
     p.add_argument("--max-level", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -859,8 +582,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        report = _DISPATCH[args.command](args)
-        text = _render(report, args.format)
+        report, to_text, to_csv = _DISPATCH[args.command](args)
+        text = _render(report, args.format, to_text, to_csv)
     except (Char2CatError, ValueError) as exc:
         print(f"char2cat: error: {exc}", file=sys.stderr)
         return 2
@@ -874,3 +597,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,7 @@ from .cyclotomic import (
     d_basis_element,
     d_basis_generator_matrix,
 )
-from .errors import Char2CatError, GeneratorOutOfRange, LevelMismatch
+from .errors import GeneratorOutOfRange, LevelMismatch
 
 __all__ = [
     "STRUCTURE_LEVEL_CAP",
@@ -280,58 +280,28 @@ def _structure_from_recursion(n: int) -> np.ndarray:
     return tensor
 
 
-def structure_tensor(n: int, method: str = "both") -> np.ndarray:
-    """Full structure-constant array ``N[S][T][U]`` at level ``n``.
-
-    ``method`` selects the generator-iteration route, the level recursion,
-    or (default) both with an equality check between them.
-    """
+def structure_tensor(n: int) -> np.ndarray:
+    """Full structure-constant array ``N[S][T][U]`` at level ``n``, by
+    generator iteration.  The level recursion and the cyclotomic oracle
+    are the independent routes it is checked against."""
     check_level(n, STRUCTURE_LEVEL_CAP, "structure-tensor level",
                 cap_name="STRUCTURE_LEVEL_CAP")
-    if method == "generators":
-        return _structure_from_generators(n)
-    if method == "recursion":
-        return _structure_from_recursion(n)
-    if method == "oracle":
-        return _structure_from_oracle(n)
-    if method != "both":
-        raise ValueError(f"unknown structure_tensor method {method!r}")
-    gen = _structure_from_generators(n)
-    rec = _structure_from_recursion(n)
-    if not np.array_equal(gen, rec):
-        raise Char2CatError(
-            f"structure-constant routes disagree at level {n}; "
-            "this is an internal inconsistency"
-        )
-    return gen
+    return _structure_from_generators(n)
 
 
-def mult_matrix(n: int, method: str = "direct") -> np.ndarray:
-    """Matrix of multiplication by the top generator class.
-
-    ``direct`` fills columns with ``gen_mul``; ``recursive`` assembles the
-    block form ``[[0, 2I + B], [I, 0]]`` from the previous level.
-    """
+def mult_matrix(n: int) -> np.ndarray:
+    """Matrix of multiplication by the top generator class, assembled by
+    the block form ``[[0, 2I + B], [I, 0]]`` from the previous level's
+    ``B``; it equals ``generator_matrix(n, n)`` for ``n >= 1``."""
     check_level(n)
-    if method == "direct":
-        size = 1 << n
-        mat = np.zeros((size, size), dtype=np.int64)
-        if n == 0:
-            return mat
-        for mask in range(size):
-            for m2, c in gen_mul(n, mask, n).coeffs:
-                mat[m2, mask] = c
-        return mat
-    if method == "recursive":
-        mat = np.zeros((1, 1), dtype=np.int64)
-        for lev in range(1, n + 1):
-            h = 1 << (lev - 1)
-            new = np.zeros((2 * h, 2 * h), dtype=np.int64)
-            new[:h, h:] = 2 * np.identity(h, dtype=np.int64) + mat
-            new[h:, :h] = np.identity(h, dtype=np.int64)
-            mat = new
-        return mat
-    raise ValueError(f"unknown mult_matrix method {method!r}")
+    mat = np.zeros((1, 1), dtype=np.int64)
+    for lev in range(1, n + 1):
+        h = 1 << (lev - 1)
+        new = np.zeros((2 * h, 2 * h), dtype=np.int64)
+        new[:h, h:] = 2 * np.identity(h, dtype=np.int64) + mat
+        new[h:, :h] = np.identity(h, dtype=np.int64)
+        mat = new
+    return mat
 
 
 def fpdim(a: FusionElt) -> CycInt:

@@ -3,17 +3,16 @@
 ``d(m, n)`` counts the invariants in the ``2m``-th tensor power of the
 top simple at level ``n``.  The three routes are: a binomial recursion in
 the level, closed walks on a path graph with ``2**(n+1) - 1`` nodes, and
-the coefficients of a generating function defined by an exact rational
-functional equation.  A truncated Clebsch-Gordan fusion on a finite label
-set provides the quantum-dimension bookkeeping used in the dimension
-totals.
+the coefficients of a generating function defined by a functional
+equation, solved in integer arithmetic.  A truncated Clebsch-Gordan
+fusion on a finite label set provides the quantum-dimension bookkeeping
+used in the dimension totals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,17 +35,17 @@ SERIES_ORDER_CAP = 256
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Exact rational coefficients ``c_0 .. c_order`` with explicit
+    """Exact integer coefficients ``c_0 .. c_order`` with explicit
     truncation order."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     order: int
 
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient count must equal order + 1")
 
-    def coefficient(self, m: int) -> Fraction:
+    def coefficient(self, m: int) -> int:
         if not 0 <= m <= self.order:
             raise IndexError(f"coefficient {m} beyond truncation order {self.order}")
         return self.coeffs[m]
@@ -91,8 +90,8 @@ def d_recursive(m: int, n: int) -> int:
     return total
 
 
-def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def _mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -105,8 +104,9 @@ def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fractio
 
 def series_f(n: int, order: int) -> PowerSeries:
     """Generating function of ``d(., n)`` to the given order, via the
-    functional equation ``f_n = 1 + z/(1-2z) * f_{n-1}(z^2/(1-2z)^2)``
-    in exact rational arithmetic."""
+    functional equation ``f_n = 1 + z/(1-2z) * f_{n-1}(z^2/(1-2z)^2)``.
+    Every series in it has integer coefficients, so the arithmetic is
+    exact in integers."""
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     if order < 0:
@@ -116,23 +116,23 @@ def series_f(n: int, order: int) -> PowerSeries:
             f"order {order} exceeds the cap SERIES_ORDER_CAP={SERIES_ORDER_CAP}"
         )
     # 1/(1-2z) = sum 2^k z^k, truncated
-    geom = [Fraction(1 << k) for k in range(order + 1)]
-    z2 = [Fraction(0)] * (order + 1)
+    geom = [1 << k for k in range(order + 1)]
+    z2 = [0] * (order + 1)
     if order >= 2:
-        z2[2] = Fraction(1)
+        z2[2] = 1
     w = _mul_trunc(_mul_trunc(z2, geom, order), geom, order)  # z^2/(1-2z)^2
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    pref = _mul_trunc([0, 1], geom, order)  # z/(1-2z)
+    coeffs = [1] + [0] * order
     for _ in range(n):
         # compose the previous series with w by Horner in the series ring
-        comp = [Fraction(0)] * (order + 1)
+        comp = [0] * (order + 1)
         # w has valuation 2, so coefficients beyond order // 2 cannot
         # contribute to the truncation
         for c in reversed(coeffs[: order // 2 + 1]):
             comp = _mul_trunc(comp, w, order)
             comp[0] += c
-        pref = _mul_trunc([Fraction(0), Fraction(1)], geom, order)  # z/(1-2z)
         tail = _mul_trunc(pref, comp, order)
-        coeffs = [Fraction(1) + tail[0]] + tail[1:]
+        coeffs = [1 + tail[0]] + tail[1:]
     return PowerSeries(tuple(coeffs), order)
 
 

@@ -29,6 +29,7 @@ from char2cat.cyclotomic import (
 from char2cat.fusion import (
     frobenius_twist,
     fusion_elt,
+    generator_matrix,
     mult_matrix,
     product,
     simple_elt,
@@ -210,10 +211,9 @@ def test_criterion_6_invariants():
 
 @criterion("7 matrix routes n<=10, Cartan shape m<=13, Ext1 stabilization")
 def test_criterion_7_routes_and_stabilization():
-    for n in range(11):
-        assert np.array_equal(
-            mult_matrix(n, "direct"), mult_matrix(n, "recursive")
-        ), n
+    assert np.array_equal(mult_matrix(0), np.zeros((1, 1), dtype=np.int64))
+    for n in range(1, 11):
+        assert np.array_equal(generator_matrix(n, n), mult_matrix(n)), n
     for m in range(14):
         car = cartan(m)
         assert (car == car.T).all(), m

@@ -1,12 +1,37 @@
 """Command-line contract: output formats, serialization round-trip,
 exit codes, and the verification suite's determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import char2cat
 import char2cat.cli as cli
+from char2cat import checks, cyclotomic, fusion, homology, invariants, tilting
 from char2cat.cli import parse_json, run
+
+# one invocation of every mode of every subcommand
+MODES = {
+    "fusion product": ["fusion", "--level", "2", "--left", "1", "--right", "3"],
+    "fusion table": ["fusion", "--level", "2"],
+    "cartan": ["cartan", "--index", "3"],
+    "ext1": ["ext1", "--index", "3"],
+    "fpdim simple": ["fpdim", "--level", "2", "--simple", "3"],
+    "fpdim category": ["fpdim", "--level", "3", "--category"],
+    "fpdim algebra": ["fpdim", "--level", "2", "--algebra"],
+    "tilt table": ["tilt", "--table", "--max-m", "4"],
+    "tilt decompose": ["tilt", "--decompose", "3"],
+    "tilt functor": ["tilt", "--functor", "2", "--max-m", "4"],
+    "invariants": ["invariants", "--level", "1", "--max-m", "3"],
+    "minpoly": ["minpoly", "--level", "2"],
+    "verify": ["verify", "--max-level", "1"],
+}
+CSV_MODES = {"cartan", "ext1", "invariants", "fusion table", "tilt table"}
 
 
 def _run(capsys, argv):
@@ -124,6 +149,27 @@ def test_csv_not_defined_for_scalar_payload(capsys):
     assert "csv" in err
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_csv_defined_exactly_for_tables(mode, capsys):
+    code, out, err = _run(capsys, MODES[mode] + ["--format", "csv"])
+    if mode in CSV_MODES:
+        assert code == 0 and out.count("\n") >= 2
+    else:
+        assert code == 2 and out == ""
+        assert "csv" in err
+
+
+def test_every_subcommand_has_a_handler_and_a_text_renderer(capsys):
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(sub.choices) == set(cli._DISPATCH) == {a[0] for a in MODES.values()}
+    for argv in MODES.values():
+        code, out, _ = _run(capsys, argv + ["--format", "text"])
+        assert code == 0 and out.strip(), argv
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = _run(
@@ -172,19 +218,52 @@ def test_cap_violations_name_the_cap(capsys):
     assert code == 2 and "SERIES_ORDER_CAP" in err
 
 
+def _perturbed_recursion(n, route=fusion._structure_from_recursion):
+    tensor = route(n).copy()
+    tensor[0, 0, 0] += 1
+    return tensor
+
+
+@pytest.mark.parametrize("argv, module, name, fake, check", [
+    (["fusion", "--level", "2"], fusion, "_structure_from_recursion",
+     _perturbed_recursion, "iteration-matches-level-recursion"),
+    (["fpdim", "--level", "4", "--category"], homology, "_category_fpdim_closed_form",
+     lambda m, route=homology._category_fpdim_closed_form: route(m) * 2,
+     "projective-sum-matches-closed-form"),
+    (["ext1", "--index", "4"], homology, "block_components",
+     lambda m, route=homology.block_components: route(m) + ((),),
+     "component-count"),
+])
+def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv, module,
+                                              name, fake, check):
+    code, out, _ = _run(capsys, argv + ["--format", "text"])
+    assert code == 0 and f"[PASS] {check}" in out
+    monkeypatch.setattr(module, name, fake)
+    code, out, _ = _run(capsys, argv + ["--format", "text"])
+    assert code == 1
+    assert f"[FAIL] {check}" in out
+
+
+@pytest.mark.parametrize("module", ["char2cat", "char2cat.cli"])
+def test_python_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(char2cat.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "char2cat: error: the following arguments are required: command" in proc.stderr
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
 
 
 def test_failed_check_exits_one(monkeypatch, capsys):
-    def fake_checks(max_level):
-        return {
-            "always/green": lambda: (True, ""),
-            "always/red": lambda: (False, "forced failure"),
-        }
-
-    monkeypatch.setattr(cli, "_verify_checks", fake_checks)
+    monkeypatch.setattr(checks, "CHECKS", {
+        "always/green": lambda max_level: (True, ""),
+        "always/red": lambda max_level: (False, "forced failure"),
+    })
     code, out, _ = _run(capsys, ["verify", "--format", "text"])
     assert code == 1
     assert "[FAIL] always/red" in out
@@ -192,13 +271,10 @@ def test_failed_check_exits_one(monkeypatch, capsys):
 
 
 def test_crashing_check_reports_failure(monkeypatch, capsys):
-    def fake_checks(max_level):
-        def boom():
-            raise RuntimeError("kaput")
+    def boom(max_level):
+        raise RuntimeError("kaput")
 
-        return {"always/boom": boom}
-
-    monkeypatch.setattr(cli, "_verify_checks", fake_checks)
+    monkeypatch.setattr(checks, "CHECKS", {"always/boom": boom})
     code, out, _ = _run(capsys, ["verify"])
     assert code == 1
     payload = parse_json(out)
@@ -210,16 +286,22 @@ def test_crashing_check_reports_failure(monkeypatch, capsys):
 # verification suite
 
 
-def test_verify_passes_and_is_deterministic_across_jobs(capsys):
-    code1, out1, _ = _run(capsys, ["verify", "--max-level", "2", "--jobs", "1"])
-    assert code1 == 0
-    code4, out4, _ = _run(capsys, ["verify", "--max-level", "2", "--jobs", "4"])
-    assert code4 == 0
-    p1, p4 = parse_json(out1), parse_json(out4)
-    assert p1["result"] == p4["result"]
-    assert p1["checks"] == p4["checks"]
-    names = [c["name"] for c in p1["checks"]]
-    assert names == sorted(names)
+def _clear_caches():
+    for mod in (cyclotomic, fusion, homology, invariants, tilting):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_verify_passes_and_is_byte_deterministic(capsys):
+    _clear_caches()
+    code1, out1, _ = _run(capsys, ["verify", "--max-level", "2"])
+    _clear_caches()
+    code2, out2, _ = _run(capsys, ["verify", "--max-level", "2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    names = [c["name"] for c in parse_json(out1)["checks"]]
+    assert names == sorted(names) == sorted(checks.CHECKS)
 
 
 def test_verify_check_names_cover_every_module(capsys):

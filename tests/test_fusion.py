@@ -246,10 +246,9 @@ def test_mult_matrix_hand_values():
 
 
 def test_mult_matrix_block_recursion_matches_direct():
-    for n in range(9):
-        assert np.array_equal(
-            mult_matrix(n, "direct"), mult_matrix(n, "recursive")
-        )
+    assert np.array_equal(mult_matrix(0), np.zeros((1, 1), dtype=np.int64))
+    for n in range(1, 9):
+        assert np.array_equal(generator_matrix(n, n), mult_matrix(n))
 
 
 def test_mult_matrix_entries_bounded():

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
 
-__all__ = ["CHECKS", "symmetric", "nonzero_powers_of_two", "composition_step",
-           "expected_component_count"]
+__all__ = ["CHECKS", "symmetric", "nonzero_powers_of_two", "dickson_coeffs",
+           "min_poly_matches_dickson", "expected_component_count"]
 
 
 # ----------------------------------------------------------------------
@@ -31,13 +31,27 @@ def nonzero_powers_of_two(arr: np.ndarray) -> bool:
     return bool(((vals > 0) & ((vals & (vals - 1)) == 0)).all())
 
 
-def composition_step(n: int) -> bool:
-    """The level-``n`` minimal polynomial is the level ``n - 1`` one
-    composed with ``x^2 - 2``."""
-    prev = cyclotomic.min_poly(n - 1)
-    return cyclotomic.min_poly(n) == cyclotomic.IntPoly(
-        cyclotomic._compose_square_minus_two(prev.coeffs)
-    )
+def dickson_coeffs(m: int) -> tuple[int, ...]:
+    """Coefficients of the Dickson polynomial D_m, with D_m(z + 1/z) = z^m + z^-m.
+
+    Closed form: D_m(x) = sum_k (-1)^k m/(m-k) C(m-k, k) x^(m-2k).  The
+    terms are generated by their ratio, t_(k+1)/t_k =
+    -(m-2k)(m-2k-1) / ((k+1)(m-k-1)), each step an exact division.
+    """
+    out = [0] * (m + 1)
+    term = 1  # k = 0
+    for k in range(m // 2 + 1):
+        out[m - 2 * k] = term
+        if m - k - 1:
+            term = -term * (m - 2 * k) * (m - 2 * k - 1) // ((k + 1) * (m - k - 1))
+    return tuple(out)
+
+
+def min_poly_matches_dickson(n: int) -> bool:
+    """The level-``n`` minimal polynomial, built by the ``x^2 - 2``
+    composition tower, equals the closed form D_(2^n): delta_n = z + 1/z
+    with z^(2^n) = i, so D_(2^n)(delta_n) = i + 1/i = 0."""
+    return cyclotomic.min_poly(n).coeffs == dickson_coeffs(1 << n)
 
 
 def expected_component_count(m: int) -> int:
@@ -51,8 +65,8 @@ def expected_component_count(m: int) -> int:
 
 
 def cyclotomic_composition(max_level):
-    ok = all(composition_step(k) for k in range(1, max_level + 1))
-    return ok, f"levels 1..{max_level}"
+    ok = all(min_poly_matches_dickson(k) for k in range(1, max_level + 1))
+    return ok, f"composition tower equals D_(2^n), levels 1..{max_level}"
 
 
 def d_basis_roundtrip(max_level):
@@ -255,9 +269,10 @@ def homology_dim_routes(max_level):
 
 
 def homology_doubling(max_level):
+    # homology/dimension-routes compares both routes at these indices
     for n in range(1, max_level + 1):
-        even = homology.category_fpdim(2 * n)
-        odd = homology.category_fpdim(2 * n - 1)
+        even = homology._category_fpdim_closed_form(2 * n)
+        odd = homology._category_fpdim_closed_form(2 * n - 1)
         lhs = even.num * odd.den
         rhs = cyclotomic.embed(odd.num, even.level) * (2 * even.den)
         if lhs != rhs:

@@ -453,8 +453,8 @@ def _cmd_minpoly(args) -> tuple:
     )
     if n >= 1:
         rep.add_check(
-            "composition-step", checks.composition_step(n),
-            "level-n polynomial is the previous one composed with x^2 - 2",
+            "composition-step", checks.min_poly_matches_dickson(n),
+            "the x^2 - 2 composition tower equals the Dickson polynomial D_(2^n)",
         )
     return rep, _text_fields, None
 
@@ -492,20 +492,15 @@ def _render(report: Report, fmt: str, text, csv) -> str:
 # argument parsing and dispatch
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep argparse's exit code 2, message on stderr
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json",
         help="output format (default json)",
     )
     common.add_argument("--out", metavar="FILE", help="write the report to FILE")
 
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="char2cat",
         description=(
             "Exact invariants of a chain of characteristic-2 symmetric tensor "

@@ -2,17 +2,21 @@
 
 The generator delta_n = 2cos(pi/2^(n+1)) is an algebraic integer of degree
 2^n; its minimal polynomial p_n is produced by iterating x -> x^2 - 2
-(p_0 = x, p_n = p_{n-1}(x^2 - 2)).  An element of O_n is stored canonically
-as the integer coefficient vector of its power-basis expansion
-1, delta_n, ..., delta_n^(2^n - 1).
+(p_0 = x, p_n = p_{n-1}(x^2 - 2)).
 
-Many internals route through a second Z-basis, the "cosine basis"
-{1, c_1, ..., c_{2^n - 1}} with c_r = 2cos(r*pi/2^(n+1)).  There the product
-rule is c_r*c_s = c_{r+s} + c_{|r-s|}, indices folding through the
-root-of-unity relations c_{-u} = c_u and c_{2^(n+1)-u} = -c_u.  Coefficients
-stay small in that basis, which keeps the distinguished-element arithmetic
-fast and makes numerical evaluation well conditioned; both basis changes are
-triangular and exact over Z.
+An element of O_n is stored canonically in the "cosine basis"
+{1, c_1, ..., c_{2^n - 1}} with c_r = 2cos(r*pi/2^(n+1)), a Z-basis in which
+coefficients stay small.  The product rule is c_r*c_s = c_{r+s} + c_{|r-s|},
+indices folding through c_{-u} = c_u and c_{2^(n+1)-u} = -c_u (and
+c_{2^n} = 0), so a product is one integer convolution of the symmetric
+Laurent coefficient vectors followed by a fold.  The inclusion O_m -> O_n
+sends c_r to c_{r*2^(n-m)}, the automorphism delta_n -> -delta_n negates
+the odd-index coordinates, and numerical evaluation is a cosine sum.
+
+The power basis 1, delta_n, ..., delta_n^(2^n - 1) appears only at the
+edges: the ``CycInt(level, power_coeffs)`` constructor, the ``coeffs``
+accessor used for output, and the minimal polynomials.  Both basis changes
+are triangular and exact over Z.
 """
 
 from __future__ import annotations
@@ -159,13 +163,6 @@ def min_poly(n: int) -> IntPoly:
     return IntPoly(_compose_square_minus_two(min_poly(n - 1).coeffs))
 
 
-@lru_cache(maxsize=None)
-def _min_poly_reduction_rows(n: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (exponent, coefficient) pairs of p_n below the leading term."""
-    mp = min_poly(n).coeffs
-    return tuple((k, v) for k, v in enumerate(mp[:-1]) if v)
-
-
 def delta_float(n: int) -> float:
     return 2.0 * math.cos(math.pi / (1 << (n + 1)))
 
@@ -198,52 +195,26 @@ def _fold(u: int, n: int) -> tuple[int, int]:
     return u, 1
 
 
-def _cos_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """Product in cosine coordinates (index 0 = coefficient of 1)."""
-    size = 1 << n
-    out = [0] * size
-    a0, b0 = a[0], b[0]
-    out[0] = a0 * b0
-    if a0:
-        for s in range(1, size):
-            if b[s]:
-                out[s] += a0 * b[s]
-    if b0:
-        for r in range(1, size):
-            if a[r]:
-                out[r] += b0 * a[r]
-    for r in range(1, size):
-        ar = a[r]
-        if not ar:
-            continue
-        for s in range(1, size):
-            bs = b[s]
-            if not bs:
-                continue
-            v = ar * bs
-            idx, mult = _fold(r + s, n)
-            if mult:
-                out[idx] += mult * v
-            d = r - s
-            if d:
-                out[abs(d)] += v
-            else:
-                out[0] += 2 * v
-    return out
+def _cos_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product in cosine coordinates (index 0 = coefficient of 1).
 
-
-def _conjugate_cos(a: list[int], r: int, n: int) -> list[int]:
-    """Apply the embedding delta_n -> 2cos((2r+1)pi/2^(n+1)) in cosine coords."""
-    size = 1 << n
-    t = 2 * r + 1
-    out = [0] * size
-    out[0] = a[0]
-    for s in range(1, size):
-        if a[s]:
-            idx, mult = _fold(t * s, n)
-            if mult:
-                out[idx] += mult * a[s]
-    return out
+    The symmetric Laurent vectors (a_{N-1}, ..., a_1, a_0, a_1, ..., a_{N-1})
+    are convolved, which gives the coefficient of z^u (c_u for u > 0) in
+    the product, and the indices u > N fold back through c_u = -c_{2N-u}.
+    The convolution runs in int64 when every partial sum provably fits
+    (each output is at most 4N*max|a|*max|b| in absolute value) and in
+    exact object arithmetic otherwise.
+    """
+    size = len(a)
+    bound = max(map(abs, a)) * max(map(abs, b)) * 4 * size
+    dtype = np.int64 if bound < 1 << 63 else object
+    full = np.convolve(
+        np.array(a[:0:-1] + a, dtype=dtype), np.array(b[:0:-1] + b, dtype=dtype)
+    )
+    pos = full[2 * size - 2:]  # coefficients of z^0 .. z^(2N-2)
+    out = pos[:size].copy()
+    out[2:] -= pos[2 * size - 2:size:-1]
+    return tuple(out.tolist())
 
 
 def _power_to_cos(coeffs, n: int) -> list[int]:
@@ -265,22 +236,27 @@ def _power_to_cos(coeffs, n: int) -> list[int]:
 
 
 def _cos_to_power(vec, n: int) -> list[int]:
-    """Inverse of _power_to_cos; triangular elimination from the top index."""
+    """Inverse of _power_to_cos, by Clenshaw's recurrence.
+
+    With c_{k+1} = delta*c_k - c_{k-1}, c_1 = delta and c_0 = 2, the
+    polynomials b_k = vec[k] + delta*b_{k+1} - b_{k+2} (k = N-1 .. 1) give
+    sum_k vec[k] c_k = vec[0] + delta*b_1 - 2*b_2.  Each step is one shifted
+    subtraction, so the power coefficients (hundreds of bits wide at the
+    top levels) are only ever added, never multiplied.
+    """
     size = 1 << n
-    work = list(vec)
-    out = [0] * size
-    for r in range(size - 1, 0, -1):
-        a = work[r]
-        if not a:
-            continue
-        out[r] = a
-        work[r] = 0
-        for j in range(1, (r - 1) // 2 + 1):
-            work[r - 2 * j] -= a * math.comb(r, j)
-        if r % 2 == 0:
-            work[0] -= a * math.comb(r, r // 2)
-    out[0] = work[0]
-    return out
+    b1 = np.zeros(size + 1, dtype=object)  # b_{k+1}, coefficient of delta^i at i
+    b2 = np.zeros(size + 1, dtype=object)  # b_{k+2}
+    for k in range(size - 1, 0, -1):
+        # b_k overwrites b_{k+2}: entry i becomes b_{k+1}[i-1] - b_{k+2}[i]
+        np.subtract(b1[:-1], b2[1:], out=b2[1:])
+        b2[0] = vec[k] - b2[0]
+        b1, b2 = b2, b1
+    out = np.zeros(size + 1, dtype=object)
+    out[1:] = b1[:-1]
+    out -= 2 * b2
+    out[0] += vec[0]
+    return out[:size].tolist()
 
 
 @lru_cache(maxsize=None)
@@ -321,27 +297,46 @@ def _leading_cos_index_to_mask(r: int, n: int) -> int:
 # ring elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycInt:
-    """Element of O_n in the canonical power basis of delta_n."""
+    """Element of O_n, stored by its cosine coordinates.
+
+    ``cos[0]`` is the coefficient of 1 and ``cos[r]`` that of
+    c_r = 2cos(r*pi/2^(n+1)).  ``CycInt(level, coeffs)`` takes power-basis
+    coefficients (of 1, delta_n, ..., delta_n^(2^n - 1)) and ``coeffs``
+    returns them; the ring operations never leave cosine coordinates.
+    """
 
     level: int
-    coeffs: tuple[int, ...]
+    cos: tuple[int, ...]
 
-    def __post_init__(self):
-        check_level(self.level)
-        if len(self.coeffs) != (1 << self.level):
+    def __init__(self, level: int, coeffs) -> None:
+        check_level(level)
+        if len(coeffs) != (1 << level):
             raise DimensionMismatch(
-                f"level {self.level} needs {1 << self.level} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"level {level} needs {1 << level} coefficients, got {len(coeffs)}"
             )
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "cos", tuple(_power_to_cos(coeffs, level)))
+
+    @classmethod
+    def from_cos(cls, level: int, cos) -> "CycInt":
+        """The element with cosine coordinates ``cos`` (as Python integers,
+        so fixed-width inputs cannot wrap in later arithmetic)."""
+        if len(cos) != (1 << level):
+            raise DimensionMismatch(
+                f"level {level} needs {1 << level} coefficients, got {len(cos)}"
+            )
+        self = object.__new__(cls)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "cos", tuple(map(int, cos)))
+        return self
 
     # -- constructors
 
     @classmethod
     def zero(cls, level: int) -> "CycInt":
-        check_level(level)
-        return cls(level, (0,) * (1 << level))
+        return cls.from_int(0, level)
 
     @classmethod
     def one(cls, level: int) -> "CycInt":
@@ -350,15 +345,20 @@ class CycInt:
     @classmethod
     def from_int(cls, c: int, level: int) -> "CycInt":
         check_level(level)
-        return cls(level, (c,) + (0,) * ((1 << level) - 1))
+        return cls.from_cos(level, (c,) + (0,) * ((1 << level) - 1))
 
     @classmethod
     def delta(cls, level: int) -> "CycInt":
-        """The generator delta_level; at level 0 this is 2cos(pi/2) = 0."""
+        """The generator delta_level = c_1; at level 0 this is 2cos(pi/2) = 0."""
         check_level(level)
         if level == 0:
             return cls.zero(0)
-        return cls(level, (0, 1) + (0,) * ((1 << level) - 2))
+        return cls.from_cos(level, (0, 1) + (0,) * ((1 << level) - 2))
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Power-basis coefficients of 1, delta_n, ..., delta_n^(2^n - 1)."""
+        return tuple(_cos_to_power(self.cos, self.level))
 
     # -- ring structure
 
@@ -373,14 +373,14 @@ class CycInt:
         if isinstance(other, int):
             other = CycInt.from_int(other, self.level)
         self._require_same_level(other)
-        return CycInt(
-            self.level, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
+        return CycInt.from_cos(
+            self.level, tuple(x + y for x, y in zip(self.cos, other.cos))
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.level, tuple(-x for x in self.coeffs))
+        return CycInt.from_cos(self.level, tuple(-x for x in self.cos))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -392,23 +392,9 @@ class CycInt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.level, tuple(x * other for x in self.coeffs))
+            return CycInt.from_cos(self.level, tuple(x * other for x in self.cos))
         self._require_same_level(other)
-        size = 1 << self.level
-        prod = [0] * (2 * size - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        rows = _min_poly_reduction_rows(self.level)
-        for d in range(len(prod) - 1, size - 1, -1):
-            q = prod[d]
-            if q:
-                prod[d] = 0
-                for k, v in rows:
-                    prod[d - size + k] -= q * v
-        return CycInt(self.level, tuple(prod[:size]))
+        return CycInt.from_cos(self.level, _cos_mul(self.cos, other.cos))
 
     __rmul__ = __mul__
 
@@ -425,80 +411,75 @@ class CycInt:
         return out
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
+        return not any(self.cos)
 
     # -- numerics
 
     def cosine_coords(self) -> list[int]:
-        return _power_to_cos(self.coeffs, self.level)
+        return list(self.cos)
 
     def to_float(self) -> float:
-        """Evaluate at delta_n.
+        """Evaluate at delta_n as sum_r cos[r] * 2cos(r*pi/2^(n+1)).
 
-        Routed through the cosine basis: its coefficients are of the same
-        order as the value itself, so the float sum does not suffer the
-        catastrophic cancellation a power-basis Horner evaluation would.
+        Cosine coordinates are of the same order as the value itself, so
+        the float sum does not suffer the catastrophic cancellation a
+        power-basis Horner evaluation would.
         """
-        return conjugate_floats(self)[0]
+        size = 1 << self.level
+        weights = 2.0 * np.cos(np.arange(size) * (math.pi / (2 * size)))
+        weights[0] = 1.0
+        return float(np.array(self.cos, dtype=np.float64) @ weights)
 
     def __repr__(self):
-        return f"CycInt(level={self.level}, coeffs={list(self.coeffs)})"
+        return f"CycInt(level={self.level}, cos={list(self.cos)})"
 
 
 def conjugate_floats(e: CycInt) -> list[float]:
     """All 2^n embeddings of e, entry r at delta -> 2cos((2r+1)pi/2^(n+1)).
 
-    Entry 0 is the identity embedding, i.e. to_float.
+    Entry 0 is the identity embedding, i.e. to_float.  With N = 2^n, entry
+    r is cos[0] + sum_{s>0} cos[s] * 2cos(2pi*s*(2r+1)/4N), the odd entries
+    of one real FFT of length 4N (whose phases are reduced mod 4N exactly).
     """
-    n = e.level
-    size = 1 << n
-    cos_vec = e.cosine_coords()
-    denom = 1 << (n + 1)
-    out = []
-    for r in range(size):
-        t = 2 * r + 1
-        acc = float(cos_vec[0])
-        for s in range(1, size):
-            if cos_vec[s]:
-                acc += cos_vec[s] * 2.0 * math.cos(s * t * math.pi / denom)
-        out.append(acc)
-    return out
+    size = 1 << e.level
+    vec = np.zeros(4 * size)
+    vec[:size] = e.cos
+    spectrum = np.fft.rfft(vec).real
+    return (2.0 * spectrum[1:2 * size:2] - vec[0]).tolist()
 
 
 def embed(e: CycInt, n: int) -> CycInt:
-    """Rewrite e in the larger ring O_n using delta_{m} = delta_{m+1}^2 - 2.
+    """The image of e in the larger ring O_n.
 
-    Each step is a polynomial composition with x^2 - 2; the image of a
-    level-m element has degree < 2^(m+1), so no reduction is ever needed
-    and the map is an exact ring embedding.
+    delta_m = 2cos(pi/2^(m+1)) is c_(2^(n-m)) at level n, and likewise
+    c_r at level m is c_(r * 2^(n-m)) at level n, so the inclusion spreads
+    the cosine coordinates out with that stride; it is an exact ring
+    embedding.
     """
     check_level(n)
     if n < e.level:
         raise LevelMismatch(f"cannot embed level {e.level} down into level {n}")
-    coeffs = e.coeffs
-    for lvl in range(e.level, n):
-        comp = _compose_square_minus_two(coeffs)
-        coeffs = comp + (0,) * ((1 << (lvl + 1)) - len(comp))
-    return CycInt(n, tuple(coeffs))
+    out = [0] * (1 << n)
+    out[:: 1 << (n - e.level)] = e.cos
+    return CycInt.from_cos(n, out)
 
 
 def d_basis_element(mask: int, n: int) -> CycInt:
     """The distinguished basis element d_S = prod_{j in S} delta_j inside O_n.
 
-    Computed through the cosine expansion of the product, which is a sum of
-    distinct c_r with unit coefficients; the equality with the literal
-    product of embed(delta_j, n) is exercised by the test-suite.
+    Its cosine expansion is a sum of distinct c_r with unit coefficients;
+    the equality with the literal product of embed(delta_j, n) is
+    exercised by the test-suite.
     """
     check_level(n)
     check_subset(mask, n)
-    size = 1 << n
-    vec = [0] * size
+    vec = [0] * (1 << n)
     if mask == 0:
         vec[0] = 1
     else:
         for r in _d_cos_indices(mask, n):
-            vec[r] += 1
-    return CycInt(n, tuple(_cos_to_power(vec, n)))
+            vec[r] = 1
+    return CycInt.from_cos(n, vec)
 
 
 def to_d_basis(e: CycInt) -> list[int]:
@@ -509,7 +490,7 @@ def to_d_basis(e: CycInt) -> list[int]:
     """
     n = e.level
     size = 1 << n
-    vec = e.cosine_coords()
+    vec = list(e.cos)
     work = list(vec)
     out = [0] * size
     for r in range(size - 1, 0, -1):
@@ -539,7 +520,11 @@ def to_d_basis(e: CycInt) -> list[int]:
 
 @dataclass(frozen=True)
 class CycRat:
-    """Quotient of a ring element by a positive integer, content-reduced."""
+    """Quotient of a ring element by a positive integer, content-reduced.
+
+    The content is the gcd of the cosine coordinates; the basis change to
+    power coordinates is unimodular, so it is the same gcd there.
+    """
 
     num: CycInt
     den: int
@@ -551,12 +536,12 @@ class CycRat:
         if den < 0:
             num, den = -num, -den
         g = den
-        for v in num.coeffs:
+        for v in num.cos:
             g = math.gcd(g, v)
             if g == 1:
                 break
         if g > 1:
-            num = CycInt(num.level, tuple(v // g for v in num.coeffs))
+            num = CycInt.from_cos(num.level, tuple(v // g for v in num.cos))
             den //= g
         return cls(num, den)
 
@@ -592,27 +577,28 @@ class CycRat:
 
 
 def divide_exact(a: CycInt, b: CycInt) -> CycRat:
-    """a/b as a CycRat, via the product of the nontrivial conjugates of b.
+    """a/b as a CycRat, via the norm down the tower O_n > O_(n-1) > ... > Z.
 
-    Multiplying numerator and denominator by that product turns the
-    denominator into the integer norm of b; everything stays exact.
+    The automorphism sigma: delta_k -> -delta_k of O_k over O_(k-1) negates
+    the odd cosine coordinates, and x*sigma(x) is sigma-fixed, so its even
+    coordinates are an element of O_(k-1).  Multiplying numerator and
+    denominator by sigma(x) at each level turns the denominator into the
+    integer norm of b after n steps; everything stays exact.
     """
     a._require_same_level(b)
-    n = a.level
-    size = 1 << n
-    b_cos = b.cosine_coords()
-    adj = [0] * size
-    adj[0] = 1
-    for r in range(1, size):
-        adj = _cos_mul(adj, _conjugate_cos(b_cos, r, n), n)
-    norm_vec = _cos_mul(b_cos, adj, n)
-    if any(norm_vec[1:]):
-        raise NotIntegral("conjugate product of the norm is not rational")
-    norm = norm_vec[0]
-    if norm == 0:
+    num, den = a, b
+    while den.level:
+        conj = CycInt.from_cos(
+            den.level, tuple(-v if r % 2 else v for r, v in enumerate(den.cos))
+        )
+        num = num * embed(conj, a.level)
+        norm = (den * conj).cos
+        if any(norm[1::2]):
+            raise NotIntegral("relative norm has odd cosine coordinates")
+        den = CycInt.from_cos(den.level - 1, norm[::2])
+    if den.cos[0] == 0:
         raise ZeroDivisionError("division by zero ring element")
-    adj_elt = CycInt(n, tuple(_cos_to_power(adj, n)))
-    return CycRat.make(a * adj_elt, norm)
+    return CycRat.make(num, den.cos[0])
 
 
 # ----------------------------------------------------------------------
@@ -666,17 +652,17 @@ def eval_min_poly_at_matrix(n: int, mat: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# batched d-basis operators (numpy, used by the fusion oracle)
+# batched d-basis operators (numpy, used by the fusion oracle and the
+# projective sum of the category dimension)
 
 
-def _cos_expansion_matrix(n: int) -> np.ndarray:
+def d_cos_matrix(n: int) -> np.ndarray:
     """Columns = cosine coordinates of d_S, S running over bitmasks."""
     size = 1 << n
     mat = np.zeros((size, size), dtype=np.int64)
     mat[0, 0] = 1
     for mask in range(1, size):
-        for r in _d_cos_indices(mask, n):
-            mat[r, mask] += 1
+        mat[list(_d_cos_indices(mask, n)), mask] = 1
     return mat
 
 
@@ -691,7 +677,7 @@ def d_basis_generator_matrix(j: int, n: int) -> np.ndarray:
     if not 1 <= j <= n:
         raise SubsetOutOfRange(f"generator {j} outside 1..{n}")
     size = 1 << n
-    expansion = _cos_expansion_matrix(n)
+    expansion = d_cos_matrix(n)
     a = 1 << (n - j)  # d_j = c_{2^(n-j)}
     prod = np.zeros_like(expansion)
     # 1 * c_a

@@ -23,6 +23,7 @@ from .cyclotomic import (
     CycRat,
     check_level,
     d_basis_element,
+    d_cos_matrix,
     divide_exact,
     embed,
 )
@@ -185,11 +186,19 @@ def proj_fpdim(m: int, smask: int) -> CycInt:
 
 
 def _category_fpdim_from_projectives(m: int) -> CycRat:
-    """Sum of simple dimension times projective-cover dimension."""
+    """Sum of simple dimension times projective-cover dimension.
+
+    The projective dimensions are the Cartan-row weighted sums of simple
+    dimensions, all at once: the columns of ``P = D @ C.T`` are their
+    cosine coordinates, where the columns of ``D`` are those of the simple
+    dimensions ``d_S``.
+    """
     level = _check_index(m)
+    d_cos = d_cos_matrix(level)
+    proj = d_cos @ np.asarray(cartan(m), dtype=np.int64).T
     acc = CycInt.zero(level)
-    for smask in range(1 << level):
-        acc = acc + d_basis_element(smask, level) * _proj_fpdim_cartan(m, smask)
+    for d_col, p_col in zip(d_cos.T.tolist(), proj.T.tolist()):
+        acc = acc + CycInt.from_cos(level, d_col) * CycInt.from_cos(level, p_col)
     return CycRat.make(acc)
 
 

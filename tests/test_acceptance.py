@@ -250,6 +250,34 @@ def test_criterion_8_twist():
                 ), (n, s, t)
 
 
+# ----------------------------------------------------------------------
+# 9. the ring at its cap
+
+
+@criterion("9 fpdim --level 12 --simple 4095 (RING_LEVEL_CAP) cold via cli.run, <5s")
+def test_criterion_9_ring_cap():
+    import tempfile
+    from pathlib import Path
+
+    from char2cat import cli, cyclotomic, fusion, homology
+
+    for mod in (cyclotomic, fusion, homology):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cap.json"
+        t0 = time.perf_counter()
+        code = cli.run(["fpdim", "--level", "12", "--simple", "4095", "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        payload = cli.parse_json(out.read_text())
+    assert code == 0
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
+    assert len(payload["result"]["power_coeffs"]) == 4096
+    want = math.prod(delta_float(j) for j in range(1, 13))
+    assert abs(payload["result"]["float"] - want) <= 1e-9 * want
+
+
 def main() -> int:
     failures = 0
     for fn in _CRITERIA:

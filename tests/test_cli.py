@@ -244,6 +244,21 @@ def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv, module,
     assert f"[FAIL] {check}" in out
 
 
+def test_composition_check_fails_on_a_broken_tower(monkeypatch, capsys):
+    def bogus(coeffs, compose=cyclotomic._compose_square_minus_two):
+        return compose(coeffs) + (1,)
+
+    monkeypatch.setattr(cyclotomic, "_compose_square_minus_two", bogus)
+    cyclotomic.min_poly.cache_clear()
+    try:
+        code, out, _ = _run(capsys, ["minpoly", "--level", "4", "--format", "text"])
+    finally:
+        monkeypatch.undo()
+        cyclotomic.min_poly.cache_clear()
+    assert code == 1
+    assert "[FAIL] composition-step" in out
+
+
 @pytest.mark.parametrize("module", ["char2cat", "char2cat.cli"])
 def test_python_m_runs_the_cli(module):
     env = dict(os.environ, PYTHONPATH=str(Path(char2cat.__file__).parents[1]))
@@ -252,6 +267,9 @@ def test_python_m_runs_the_cli(module):
     )
     assert proc.returncode == 2
     assert "char2cat: error: the following arguments are required: command" in proc.stderr
+    assert proc.stderr.startswith("usage: char2cat")
+    for command in cli._DISPATCH:
+        assert command in proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -161,6 +161,64 @@ def test_ring_axioms(level, data):
     assert 1 * a == a and a + 0 == a
 
 
+def _power_basis_mul(a: CycInt, b: CycInt) -> CycInt:
+    """Reference product: schoolbook multiplication of the power-basis
+    coefficients, then reduction of degrees >= 2^n by the monic min_poly."""
+    size = 1 << a.level
+    prod = [0] * (2 * size - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    rows = [(k, v) for k, v in enumerate(min_poly(a.level).coeffs[:-1]) if v]
+    for d in range(len(prod) - 1, size - 1, -1):
+        q = prod[d]
+        prod[d] = 0
+        for k, v in rows:
+            prod[d - size + k] -= q * v
+    return CycInt(a.level, tuple(prod[:size]))
+
+
+# small coefficients keep the cosine convolution in int64; coefficients of
+# at least 2^40 in both factors push max|a| * max|b| * 4N past 2^63 and
+# force the exact object path
+_WIDE_COEFF = st.integers(min_value=1 << 40, max_value=1 << 45)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    level=st.integers(min_value=0, max_value=6),
+    wide=st.booleans(),
+    data=st.data(),
+)
+def test_cosine_product_matches_power_basis_reference(level, wide, data):
+    size = 1 << level
+    coeff = st.one_of(_COEFF, _WIDE_COEFF.map(lambda v: -v)) if wide else _COEFF
+    vec = st.lists(coeff, min_size=size - 1, max_size=size - 1)
+    a = _elt(level, [data.draw(_WIDE_COEFF) if wide else 1] + data.draw(vec))
+    b = _elt(level, [data.draw(_WIDE_COEFF) if wide else -1] + data.draw(vec))
+    if wide:
+        assume(max(map(abs, a.cos)) * max(map(abs, b.cos)) >= 1 << 63)
+    assert a * b == _power_basis_mul(a, b)
+    assert (a * b).coeffs == _power_basis_mul(a, b).coeffs
+
+
+def test_from_cos_takes_fixed_width_input_exactly():
+    big = 1 << 40
+    e = CycInt.from_cos(1, np.array([big, big], dtype=np.int64))
+    # (B + B c_1)^2 = B^2 (1 + 2 c_1 + c_1^2) and c_1^2 = c_2 + 2 = 2 at level 1
+    assert (e * e).cos == (3 * big * big, 2 * big * big)
+    assert (e * e).coeffs == _power_basis_mul(e, e).coeffs
+
+
+def test_min_poly_matches_sympy_minimal_polynomial():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(5):
+        got = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / 2 ** (n + 1)), x)
+        want = sum(c * x**k for k, c in enumerate(min_poly(n).coeffs))
+        assert sympy.expand(got - want) == 0, n
+
+
 def test_integer_absorption():
     a = CycInt.delta(2)
     assert 2 + a == CycInt.from_int(2, 2) + a
@@ -196,6 +254,20 @@ def test_embed_is_ring_homomorphism():
     assert embed(CycInt.one(0), 3) == CycInt.one(3)
 
 
+def test_embed_matches_power_basis_composition():
+    # reference: delta_m = delta_{m+1}^2 - 2, i.e. compose with x^2 - 2 per step
+    from char2cat.cyclotomic import _compose_square_minus_two
+
+    rng = np.random.default_rng(5)
+    for m in range(5):
+        e = _elt(m, rng.integers(-9, 10, size=1 << m).tolist())
+        coeffs = e.coeffs
+        for n in range(m + 1, 7):
+            comp = _compose_square_minus_two(coeffs)
+            coeffs = comp + (0,) * ((1 << n) - len(comp))
+            assert embed(e, n).coeffs == coeffs, (m, n)
+
+
 def test_to_float_consistency():
     # float image respects ring operations approximately
     a = CycInt.delta(3)
@@ -223,6 +295,30 @@ def test_conjugates_multiplicative():
     cab = conjugate_floats(a * b)
     for x, y, z in zip(ca, cb, cab):
         assert x * y == pytest.approx(z, rel=1e-9, abs=1e-9)
+
+
+def _conjugates_by_direct_sum(e):
+    size = 1 << e.level
+    out = []
+    for r in range(size):
+        acc = float(e.cos[0])
+        for s in range(1, size):
+            phase = s * (2 * r + 1) % (4 * size)
+            acc += e.cos[s] * 2.0 * math.cos(phase * math.pi / (2 * size))
+        out.append(acc)
+    return out
+
+
+def test_conjugate_floats_match_direct_cosine_sums():
+    rng = np.random.default_rng(11)
+    for n in range(9):
+        e = CycInt.from_cos(n, rng.integers(-50, 51, size=1 << n).tolist())
+        want = _conjugates_by_direct_sum(e)
+        # float64 sums of 2^n terms of size <= 2 * sum|cos|
+        tol = 1e-12 * (1 + 2 * sum(abs(v) for v in e.cos))
+        for got, ref in zip(conjugate_floats(e), want, strict=True):
+            assert abs(got - ref) <= tol, n
+        assert abs(e.to_float() - want[0]) <= tol, n
 
 
 def test_first_conjugate_is_identity_embedding():
@@ -309,6 +405,20 @@ def test_divide_exact_recovers_quotients():
     r = divide_exact(CycInt.one(1), CycInt.delta(1))
     assert r == CycRat.make(CycInt.delta(1), 2)
     assert r.to_float() == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(min_value=0, max_value=5), data=st.data())
+def test_divide_exact_is_an_exact_reduced_quotient(level, data):
+    size = 1 << level
+    vec = st.lists(_COEFF, min_size=size, max_size=size)
+    a = _elt(level, data.draw(vec))
+    b = _elt(level, data.draw(vec))
+    assume(not b.is_zero())
+    q = divide_exact(a, b)
+    assert q.den > 0
+    assert q.num * b == a * q.den
+    assert math.gcd(q.den, *q.num.cos) == 1
 
 
 def test_divide_exact_by_zero():

@@ -2,10 +2,12 @@
 
 Category indices ``m`` run along the whole chain; level ``m`` has
 ``2**(m//2)`` simples indexed by subset bitmasks, and matrices use plain
-bitmask order (subsets without the top generator first).  The Cartan
-recursion interleaves a block-diagonal even step with an odd step made of
-four blocks of the two previous matrices; extensions between simples
-follow a five-case recursion on membership of the top generator.
+bitmask order (subsets without the top generator first).  The Cartan and
+first-extension matrices are read-only ``int64`` arrays built by one
+doubling step: block diagonal at even indices, four blocks of the two
+previous matrices at odd ones.  Single extension dimensions also follow a
+five-case recursion on membership of the top generator, an independent
+per-entry route to the same values.
 Projective and whole-category dimensions are computed by two independent
 routes each (weighted Cartan rows against a multiplicative recursion, and
 a summed total against a closed form) which must agree exactly.
@@ -54,38 +56,55 @@ def _check_index(m: int) -> int:
     return m // 2
 
 
-@lru_cache(maxsize=None)
-def cartan(m: int) -> np.ndarray:
-    """Cartan matrix at chain index ``m`` (object dtype, exact).
+def _doubling(m: int, base: tuple[int, int], odd_blocks, previous) -> np.ndarray:
+    """Read-only ``int64`` matrix at chain index ``m`` by the doubling step.
 
-    Base cases ``[1]`` and ``[2]``; even indices are the block diagonal of
-    the two previous matrices (subsets without the top generator first);
-    odd indices ``2n+1`` are ``[[2A, A], [A, 2B]]`` with ``A``, ``B`` the
-    matrices at ``2n-1`` and ``2n-2``.
+    ``base`` holds the 1x1 matrices at indices 0 and 1 and ``previous(k)``
+    returns the matrix at index ``k``.  Even indices are
+    ``diag(M(m-1), M(m-2))``; at odd indices ``odd_blocks(A, B)`` returns
+    the 2x2 block layout built from ``A = M(m-2)`` and ``B = M(m-3)``.
+    The two halves are the subsets without and with the top generator.
     """
     _check_index(m)
-    if m == 0:
-        out = np.array([[1]], dtype=object)
-    elif m == 1:
-        out = np.array([[2]], dtype=object)
+    if m < 2:
+        out = np.array([[base[m]]], dtype=np.int64)
     elif m % 2 == 0:
-        a = cartan(m - 1)
-        b = cartan(m - 2)
-        h = a.shape[0]
-        out = np.zeros((2 * h, 2 * h), dtype=object)
-        out[:h, :h] = a
-        out[h:, h:] = b
+        a, b = previous(m - 1), previous(m - 2)
+        zero = np.zeros_like(a)
+        out = np.block([[a, zero], [zero, b]])
     else:
-        a = cartan(m - 2)
-        b = cartan(m - 3)
-        h = a.shape[0]
-        out = np.zeros((2 * h, 2 * h), dtype=object)
-        out[:h, :h] = 2 * a
-        out[:h, h:] = a
-        out[h:, :h] = a
-        out[h:, h:] = 2 * b
+        out = np.block(odd_blocks(previous(m - 2), previous(m - 3)))
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=None)
+def cartan(m: int) -> np.ndarray:
+    """Cartan matrix at chain index ``m``, a read-only ``int64`` array.
+
+    Base cases ``[1]`` and ``[2]``; even indices are the block diagonal of
+    the two previous matrices; odd indices ``2n+1`` are
+    ``[[2A, A], [A, 2B]]`` with ``A``, ``B`` the matrices at ``2n-1`` and
+    ``2n-2``.
+    """
+    return _doubling(m, (1, 2), lambda a, b: [[2 * a, a], [a, 2 * b]], cartan)
+
+
+@lru_cache(maxsize=None)
+def ext1_matrix(m: int) -> np.ndarray:
+    """First-extension dimensions over all simple pairs at chain index
+    ``m``, a read-only ``int64`` array of zeros and ones.
+
+    Same doubling step as ``cartan``: base cases ``[0]`` and ``[1]``; even
+    indices are block diagonal; odd indices ``2n+1`` are ``[[A, I], [I, B]]``
+    with ``A``, ``B`` the matrices at ``2n-1`` and ``2n-2``.  ``ext1_dim``
+    computes the same entries one at a time by an independent route.
+    """
+    def odd_blocks(a, b):
+        eye = np.identity(a.shape[0], dtype=np.int64)
+        return [[a, eye], [eye, b]]
+
+    return _doubling(m, (0, 1), odd_blocks, ext1_matrix)
 
 
 def _check_masks(m: int, smask: int, tmask: int) -> int:
@@ -100,7 +119,6 @@ def _check_masks(m: int, smask: int, tmask: int) -> int:
     return level
 
 
-@lru_cache(maxsize=None)
 def ext1_dim(m: int, smask: int, tmask: int) -> int:
     """Dimension (0 or 1) of the first extension space between the simples
     ``smask`` and ``tmask`` at chain index ``m``.
@@ -108,7 +126,9 @@ def ext1_dim(m: int, smask: int, tmask: int) -> int:
     Recursion on the top generator ``n = m // 2``: present in both sets it
     strips down two even steps; present in exactly one it gives a Kronecker
     delta at odd indices and zero at even ones; absent it descends one
-    index.  Bases: 0 at index 0 and 1 at index 1.
+    index.  Bases: 0 at index 0 and 1 at index 1.  This is the per-entry
+    route, one chain of at most ``m + 1`` steps; ``ext1_matrix`` builds all
+    entries at once by the block recursion.
     """
     _check_masks(m, smask, tmask)
     if m == 0:
@@ -128,18 +148,6 @@ def ext1_dim(m: int, smask: int, tmask: int) -> int:
             return 1 if (smask & ~bit) == tmask else 0
         return 1 if smask == (tmask & ~bit) else 0
     return ext1_dim(m - 1, smask, tmask)
-
-
-def ext1_matrix(m: int) -> np.ndarray:
-    """Matrix of ``ext1_dim`` over all simple pairs at chain index ``m``."""
-    level = _check_index(m)
-    size = 1 << level
-    out = np.zeros((size, size), dtype=object)
-    for s in range(size):
-        for t in range(size):
-            out[s, t] = ext1_dim(m, s, t)
-    out.setflags(write=False)
-    return out
 
 
 def _proj_fpdim_cartan(m: int, smask: int) -> CycInt:
@@ -195,7 +203,7 @@ def _category_fpdim_from_projectives(m: int) -> CycRat:
     """
     level = _check_index(m)
     d_cos = d_cos_matrix(level)
-    proj = d_cos @ np.asarray(cartan(m), dtype=np.int64).T
+    proj = d_cos @ cartan(m).T
     acc = CycInt.zero(level)
     for d_col, p_col in zip(d_cos.T.tolist(), proj.T.tolist()):
         acc = acc + CycInt.from_cos(level, d_col) * CycInt.from_cos(level, p_col)
@@ -250,23 +258,17 @@ def block_components(m: int) -> tuple[tuple[int, ...], ...]:
     The component count is reported as computed from this graph; it is not
     normalized to any closed-form prediction.
     """
-    level = _check_index(m)
-    size = 1 << level
-    car = cartan(m)
-    seen = [False] * size
+    adj = (cartan(m) > 0) | (ext1_matrix(m) > 0)
+    seen = np.zeros(adj.shape[0], dtype=bool)
     comps: list[tuple[int, ...]] = []
-    for start in range(size):
+    for start in range(adj.shape[0]):
         if seen[start]:
             continue
-        stack = [start]
         seen[start] = True
-        comp = []
-        while stack:
-            s = stack.pop()
-            comp.append(s)
-            for t in range(size):
-                if not seen[t] and (car[s][t] > 0 or ext1_dim(m, s, t) > 0):
-                    seen[t] = True
-                    stack.append(t)
+        comp, frontier = [start], [start]
+        while frontier:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & ~seen).tolist()
+            seen[frontier] = True
+            comp += frontier
         comps.append(tuple(sorted(comp)))
     return tuple(comps)

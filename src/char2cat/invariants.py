@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import LabelOutOfRange, OrderTooLarge
 
 __all__ = [
@@ -53,25 +51,18 @@ class PowerSeries:
 
 def path_count(nodes: int, length: int) -> int:
     """Closed walks of ``length`` steps from the left end of the path
-    graph on ``nodes`` vertices, with arbitrary-precision integers."""
+    graph on ``nodes`` vertices, with arbitrary-precision integers.
+
+    Walk-vector recurrence: after each step the count at a vertex is the
+    sum of the counts at its neighbours."""
     if nodes < 1:
         raise ValueError(f"need at least one node, got {nodes}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
-    adj = np.zeros((nodes, nodes), dtype=object)
-    for i in range(nodes - 1):
-        adj[i, i + 1] = 1
-        adj[i + 1, i] = 1
-    power = np.identity(nodes, dtype=object)
-    base = adj
-    e = length
-    while e:
-        if e & 1:
-            power = power @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return int(power[0, 0])
+    walks = [1] + [0] * (nodes - 1)  # walks ending at each vertex
+    for _ in range(length):
+        walks = [x + y for x, y in zip([0] + walks[:-1], walks[1:] + [0])]
+    return walks[0]
 
 
 @lru_cache(maxsize=None)

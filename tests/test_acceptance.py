@@ -35,7 +35,9 @@ from char2cat.fusion import (
     simple_elt,
 )
 from char2cat.homology import (
+    CATEGORY_INDEX_CAP,
     algebra_fpdim,
+    block_components,
     cartan,
     category_fpdim,
     ext1_dim,
@@ -52,6 +54,17 @@ from char2cat.tilting import (
 )
 
 _CRITERIA = []
+
+
+def _clear_package_caches():
+    """Empty every cache in the package, so a timed run starts cold and
+    leaves nothing resident."""
+    from char2cat import cyclotomic, fusion, homology, invariants, tilting
+
+    for mod in (cyclotomic, fusion, homology, invariants, tilting):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 def criterion(name):
@@ -259,12 +272,9 @@ def test_criterion_9_ring_cap():
     import tempfile
     from pathlib import Path
 
-    from char2cat import cli, cyclotomic, fusion, homology
+    from char2cat import cli
 
-    for mod in (cyclotomic, fusion, homology):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    _clear_package_caches()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "cap.json"
         t0 = time.perf_counter()
@@ -276,6 +286,49 @@ def test_criterion_9_ring_cap():
     assert len(payload["result"]["power_coeffs"]) == 4096
     want = math.prod(delta_float(j) for j in range(1, 13))
     assert abs(payload["result"]["float"] - want) <= 1e-9 * want
+
+
+# ----------------------------------------------------------------------
+# 10. homology at its cap
+
+
+@criterion("10 Cartan, Ext1 and blocks at CATEGORY_INDEX_CAP=25 cold, <8s")
+def test_criterion_10_homology_cap():
+    m = CATEGORY_INDEX_CAP
+    _clear_package_caches()
+    try:
+        t0 = time.perf_counter()
+        car, ext = cartan(m), ext1_matrix(m)
+        assert (car == car.T).all() and (ext == ext.T).all()
+        vals = car[car != 0]
+        assert ((vals > 0) & ((vals & (vals - 1)) == 0)).all()
+        assert ((ext == 0) | (ext == 1)).all()
+        rng = random.Random(0)
+        for _ in range(200):
+            s, t = rng.randrange(len(ext)), rng.randrange(len(ext))
+            assert ext[s, t] == ext1_dim(m, s, t), (s, t)
+        assert len(block_components(m)) == 1
+        assert len(block_components(m - 1)) == 13
+        elapsed = time.perf_counter() - t0
+    finally:
+        _clear_package_caches()
+    assert elapsed < 8.0, f"took {elapsed:.1f}s"
+
+
+# ----------------------------------------------------------------------
+# 11. invariant dimensions at the series order cap
+
+
+@criterion("11 series_f(5, 256) = recursion m<=256 = paths at 7 orders, <30s")
+def test_criterion_11_series_cap():
+    t0 = time.perf_counter()
+    sf = series_f(5, 256)
+    for m in range(257):
+        assert sf.coefficient(m) == d_recursive(m, 5), m
+    for m in (0, 1, 2, 64, 128, 255, 256):
+        assert sf.coefficient(m) == path_count(63, 2 * m), m
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
 
 def main() -> int:

@@ -170,6 +170,20 @@ def test_every_subcommand_has_a_handler_and_a_text_renderer(capsys):
         assert code == 0 and out.strip(), argv
 
 
+def test_modes_are_byte_identical_in_any_order(capsys):
+    # the parser is built once per process and reused by every run
+    assert cli.build_parser() is cli.build_parser()
+    outputs = []
+    for order in (sorted(MODES), sorted(MODES, reverse=True)):
+        outs = {}
+        for mode in order:
+            code, out, err = _run(capsys, MODES[mode])
+            outs[mode] = (code, out, err)
+        outputs.append(outs)
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 for code, _, _ in outputs[0].values())
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = _run(

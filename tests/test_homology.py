@@ -64,6 +64,7 @@ def test_cartan_odd_index_block_pattern():
 def test_cartan_symmetric_power_of_two_entries():
     for m in range(14):
         car = cartan(m)
+        assert car.dtype == np.int64
         assert (car == car.T).all()
         for v in car.flatten():
             iv = int(v)
@@ -74,6 +75,11 @@ def test_cartan_symmetric_power_of_two_entries():
 def test_cartan_is_read_only():
     with pytest.raises(ValueError):
         cartan(5)[0, 0] = 99
+
+
+def test_ext1_matrix_is_read_only():
+    with pytest.raises(ValueError):
+        ext1_matrix(5)[0, 1] = 0
 
 
 def test_cartan_index_cap_named():
@@ -103,8 +109,13 @@ def test_ext1_index5_golden():
 def test_ext1_symmetric_zero_one():
     for m in range(12):
         mat = ext1_matrix(m)
+        assert mat.dtype == np.int64
         assert (mat == mat.T).all()
         assert set(np.unique(mat)).issubset({0, 1})
+        # the block recursion against the independent per-entry recursion
+        for s in range(mat.shape[0]):
+            for t in range(mat.shape[0]):
+                assert mat[s, t] == ext1_dim(m, s, t), (m, s, t)
 
 
 def test_ext1_self_extensions_of_unit():

@@ -12,6 +12,13 @@ c_{2^n} = 0), so a product is one integer convolution of the symmetric
 Laurent coefficient vectors followed by a fold.  The inclusion O_m -> O_n
 sends c_r to c_{r*2^(n-m)}, the automorphism delta_n -> -delta_n negates
 the odd-index coordinates, and numerical evaluation is a cosine sum.
+``_cos_mul`` is the only product rule in the module.
+
+The distinguished basis d_S = prod_{j in S} delta_j (S a subset of {1..n},
+d_0 = 1) is the image of the simple objects.  One table, ``_d_cos_indices``,
+holds the cosine support of every d_S; ``to_d_basis`` is the only solve
+into that basis, and the d-basis generator matrices of the fusion oracle
+are that solve applied to ring products.
 
 The power basis 1, delta_n, ..., delta_n^(2^n - 1) appears only at the
 edges: the ``CycInt(level, power_coeffs)`` constructor, the ``coeffs``
@@ -117,12 +124,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
@@ -169,30 +170,6 @@ def delta_float(n: int) -> float:
 
 # ----------------------------------------------------------------------
 # cosine-basis internals
-
-
-def _fold(u: int, n: int) -> tuple[int, int]:
-    """Reduce c_u to the fundamental range at level n.
-
-    Returns (index, mult): the contribution is mult * c_index, where index 0
-    stands for the basis element 1 (so c_0 = 2 gives mult 2) and mult 0 means
-    the term vanishes (c at an odd multiple of pi/2).
-    """
-    period = 1 << (n + 2)
-    u %= period
-    half = period >> 1
-    if u > half:
-        u = period - u
-    top = 1 << n
-    if u == 0:
-        return 0, 2
-    if u == half:
-        return 0, -2
-    if u == top:
-        return 0, 0
-    if u > top:
-        return half - u, -1
-    return u, 1
 
 
 def _cos_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -261,23 +238,22 @@ def _cos_to_power(vec, n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _d_cos_indices(mask: int, n: int) -> tuple[int, ...]:
-    """Cosine support of d_S = prod_{j in S} c_{2^(n-j)}.
+    """Cosine support of d_S = prod_{j in S} c_{2^(n-j)}, ascending.
 
-    Expanding the product pairwise gives one c-term for every sign pattern on
-    the smaller exponents; all indices are positive, distinct, and at most
-    2^n - 1, and every coefficient is 1.
+    The empty product d_0 = 1 sits at index 0.  Otherwise, multiplying in
+    the generators from the largest index down by c_r*c_a = c_{r+a} +
+    c_{r-a} gives one c-term for every sign pattern on the smaller
+    exponents; all indices are positive, distinct, and at most 2^n - 1,
+    and every coefficient is 1.  The last index is sum_{j in S} 2^(n-j),
+    which determines S.  This is the one table of d_S supports: the
+    element, the expansion matrix and the d-basis solve all read it.
     """
-    vals: list[int] | None = None
+    vals = [0]
     for b in range(n):
-        if not (mask >> b) & 1:
-            continue
-        a = 1 << (n - 1 - b)  # generator j = b+1 contributes c_{2^(n-j)}
-        if vals is None:
-            vals = [a]
-        else:
-            vals = [v + a for v in vals] + [v - a for v in vals]
-    if vals is None:
-        return ()
+        if (mask >> b) & 1:
+            a = 1 << (n - 1 - b)  # generator j = b+1 contributes c_{2^(n-j)}
+            # 1 * c_a is the single term c_a; afterwards every r exceeds a
+            vals = [r + a for r in vals] + [r - a for r in vals if r]
     return tuple(sorted(vals))
 
 
@@ -415,9 +391,6 @@ class CycInt:
 
     # -- numerics
 
-    def cosine_coords(self) -> list[int]:
-        return list(self.cos)
-
     def to_float(self) -> float:
         """Evaluate at delta_n as sum_r cos[r] * 2cos(r*pi/2^(n+1)).
 
@@ -474,26 +447,25 @@ def d_basis_element(mask: int, n: int) -> CycInt:
     check_level(n)
     check_subset(mask, n)
     vec = [0] * (1 << n)
-    if mask == 0:
-        vec[0] = 1
-    else:
-        for r in _d_cos_indices(mask, n):
-            vec[r] = 1
+    for r in _d_cos_indices(mask, n):
+        vec[r] = 1
     return CycInt.from_cos(n, vec)
 
 
 def to_d_basis(e: CycInt) -> list[int]:
     """Coordinates of e in the basis {d_S}, indexed by subset bitmask.
 
-    The change of basis is unimodular, so the coordinates are integers for
-    every ring element; a failed re-expansion check raises NotIntegral.
+    The expansion matrix is unitriangular once d_S is ordered by its
+    leading cosine index, so elimination from the top index down gives
+    integer coordinates for every ring element; a failed re-expansion
+    check raises NotIntegral.
     """
     n = e.level
     size = 1 << n
     vec = list(e.cos)
     work = list(vec)
     out = [0] * size
-    for r in range(size - 1, 0, -1):
+    for r in range(size - 1, -1, -1):
         a = work[r]
         if not a:
             continue
@@ -501,14 +473,12 @@ def to_d_basis(e: CycInt) -> list[int]:
         out[mask] = a
         for idx in _d_cos_indices(mask, n):
             work[idx] -= a
-    out[0] = work[0]
     # re-expand as a guard against internal inconsistency
     redo = [0] * size
-    redo[0] = out[0]
-    for mask in range(1, size):
-        if out[mask]:
+    for mask, a in enumerate(out):
+        if a:
             for idx in _d_cos_indices(mask, n):
-                redo[idx] += out[mask]
+                redo[idx] += a
     if redo != vec:
         raise NotIntegral(f"d-basis solve failed to reproduce the input at level {n}")
     return out
@@ -652,16 +622,15 @@ def eval_min_poly_at_matrix(n: int, mat: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# batched d-basis operators (numpy, used by the fusion oracle and the
-# projective sum of the category dimension)
+# d-basis operators (used by the fusion oracle and the projective sum of
+# the category dimension)
 
 
 def d_cos_matrix(n: int) -> np.ndarray:
     """Columns = cosine coordinates of d_S, S running over bitmasks."""
     size = 1 << n
     mat = np.zeros((size, size), dtype=np.int64)
-    mat[0, 0] = 1
-    for mask in range(1, size):
+    for mask in range(size):
         mat[list(_d_cos_indices(mask, n)), mask] = 1
     return mat
 
@@ -669,41 +638,13 @@ def d_cos_matrix(n: int) -> np.ndarray:
 def d_basis_generator_matrix(j: int, n: int) -> np.ndarray:
     """Matrix of multiplication by d_j = delta_j on the d-basis of O_n.
 
-    Built purely from cosine-basis arithmetic plus the triangular basis
-    change, with no reference to fusion combinatorics; serves as the
-    independent oracle for the fusion-ring structure constants.
+    Column S is to_d_basis(delta_j * d_S), computed with the ring product
+    and the d-basis solve and no reference to fusion combinatorics; serves
+    as the independent oracle for the fusion-ring structure constants.
     """
     check_level(n)
     if not 1 <= j <= n:
         raise SubsetOutOfRange(f"generator {j} outside 1..{n}")
-    size = 1 << n
-    expansion = d_cos_matrix(n)
-    a = 1 << (n - j)  # d_j = c_{2^(n-j)}
-    prod = np.zeros_like(expansion)
-    # 1 * c_a
-    prod[a, :] += expansion[0, :]
-    for s in range(1, size):
-        row = expansion[s, :]
-        idx, mult = _fold(a + s, n)
-        if mult:
-            prod[idx, :] += mult * row
-        d = abs(a - s)
-        if d:
-            prod[d, :] += row
-        else:
-            prod[0, :] += 2 * row
-    # solve expansion @ X = prod by descending-leading-index elimination
-    out = np.zeros_like(prod)
-    work = prod.copy()
-    for r in range(size - 1, 0, -1):
-        mask = _leading_cos_index_to_mask(r, n)
-        row = work[r, :]
-        if not row.any():
-            continue
-        out[mask, :] = row
-        work = work - np.outer(expansion[:, mask], row)
-    out[0, :] = work[0, :]
-    work[0, :] = 0
-    if work.any():
-        raise NotIntegral("d-basis operator solve left a nonzero residual")
-    return out
+    gen = embed(CycInt.delta(j), n)
+    cols = [to_d_basis(gen * d_basis_element(mask, n)) for mask in range(1 << n)]
+    return np.array(cols, dtype=np.int64).T

@@ -247,6 +247,9 @@ def _perturbed_recursion(n, route=fusion._structure_from_recursion):
     (["ext1", "--index", "4"], homology, "block_components",
      lambda m, route=homology.block_components: route(m) + ((),),
      "component-count"),
+    (["fusion", "--level", "3", "--left", "5", "--right", "3"], cyclotomic, "to_d_basis",
+     lambda e, route=cyclotomic.to_d_basis: [v + 1 for v in route(e)],
+     "product-matches-dimension-oracle"),
 ])
 def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv, module,
                                               name, fake, check):

@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from char2cat.cyclotomic import CycInt, d_basis_element, to_d_basis
+from char2cat.cyclotomic import (
+    CycInt,
+    d_basis_element,
+    d_basis_generator_matrix,
+    to_d_basis,
+)
 from char2cat.errors import (
     Char2CatError,
     GeneratorOutOfRange,
     LevelMismatch,
     LevelTooLarge,
+    SubsetOutOfRange,
 )
 from char2cat.fusion import (
     STRUCTURE_LEVEL_CAP,
@@ -184,6 +190,24 @@ def test_structure_routes_agree_small():
         ora = _structure_from_oracle(n)
         assert np.array_equal(gen, rec), n
         assert np.array_equal(gen, ora), n
+
+
+def test_oracle_route_uses_no_fusion_rule(monkeypatch):
+    from char2cat import fusion
+
+    def forbidden(*args):
+        raise AssertionError("the oracle route reached the fusion rule")
+
+    monkeypatch.setattr(fusion, "gen_mul", forbidden)
+    monkeypatch.setattr(fusion, "generator_matrix", forbidden)
+    for n in range(6):
+        assert np.array_equal(
+            fusion._structure_from_oracle(n), fusion._structure_from_recursion(n)
+        ), n
+    for n in range(4):
+        for j in (0, n + 1):
+            with pytest.raises(SubsetOutOfRange):
+                d_basis_generator_matrix(j, n)
 
 
 def test_structure_tensor_entries_and_symmetry():

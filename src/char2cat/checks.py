@@ -13,8 +13,13 @@ import numpy as np
 
 from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
 
-__all__ = ["CHECKS", "symmetric", "nonzero_powers_of_two", "dickson_coeffs",
-           "min_poly_matches_dickson", "expected_component_count"]
+__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "symmetric", "nonzero_powers_of_two",
+           "dickson_coeffs", "min_poly_matches_dickson", "expected_component_count"]
+
+#: Largest ``max_level`` the suite accepts.  The suite passes at it in
+#: seconds; level 9 takes about four times as long, and from level 13 on
+#: some checks exceed the ring and chain-index caps.
+VERIFY_LEVEL_CAP = 8
 
 
 # ----------------------------------------------------------------------

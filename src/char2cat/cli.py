@@ -457,6 +457,8 @@ def _cmd_minpoly(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
+    cyclotomic.check_level(args.max_level, checks.VERIFY_LEVEL_CAP, "verify level",
+                           cap_name="VERIFY_LEVEL_CAP")
     rep = Report("verify", {"max_level": args.max_level}, {"max_level": args.max_level})
     for name, check in sorted(checks.CHECKS.items()):
         try:

@@ -50,13 +50,11 @@ def check_level(
     n: int,
     cap: int = RING_LEVEL_CAP,
     what: str = "level",
-    cap_name: str | None = None,
+    cap_name: str = "RING_LEVEL_CAP",
 ) -> int:
     if not isinstance(n, int) or n < 0:
         raise LevelTooLarge(f"{what} must be a nonnegative integer, got {n!r}")
     if n > cap:
-        if cap_name is None:
-            cap_name = "RING_LEVEL_CAP" if cap == RING_LEVEL_CAP else str(cap)
         raise LevelTooLarge(f"{what} {n} exceeds the cap {cap_name}={cap}")
     return n
 

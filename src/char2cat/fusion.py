@@ -4,9 +4,11 @@ Basis classes are indexed by subsets ``S`` of ``{1..n}`` through bitmasks
 (bit ``j-1`` set iff ``j`` is in ``S``); the integer value of the mask is
 also the printed ``V_m`` index used by the CLI.  Multiplication is driven
 by the single-generator rule ``gen_mul`` and extended to arbitrary
-products by iterating it; an independent level-by-level recursion for the
-full structure-constant tensor and an exact cyclotomic-arithmetic oracle
-give two further routes that the tests compare against it.
+products by iterating it.  The full structure-constant tensor comes by
+three independent routes that the tests compare: generator iteration and
+the exact cyclotomic-arithmetic oracle, which feed their generator
+matrices to one subset-product builder, and a level recursion built on the
+presentation ``x^2 = 2 + x'`` of each new generator ``x``.
 """
 
 from __future__ import annotations
@@ -215,43 +217,41 @@ def generator_matrix(i: int, n: int) -> np.ndarray:
     return mat
 
 
-def _mult_operator_cube(gmats: list[np.ndarray], n: int) -> np.ndarray:
-    """``W[S]`` = matrix of multiplication by the class ``S`` (rows =
-    output class, columns = right factor), via the subset product DP."""
-    size = 1 << n
-    cube = np.zeros((size, size, size), dtype=np.int64)
+def _structure_from_products(gmats: list[np.ndarray]) -> np.ndarray:
+    """``N[S][T][U]`` from one route's generator matrices ``g_1 .. g_n``.
+
+    ``N[S]`` (rows = right factor, columns = output class) is
+    ``N[S - i] @ g_i.T`` for the largest ``i`` in ``S``, so the masks
+    ``2^(i-1) .. 2^i - 1`` are one batched product per generator.
+    """
+    size = 1 << len(gmats)
+    cube = np.empty((size, size, size), dtype=np.int64)
     cube[0] = np.identity(size, dtype=np.int64)
-    for mask in range(1, size):
-        top = mask.bit_length()
-        rest = mask & ~(1 << (top - 1))
-        cube[mask] = gmats[top - 1] @ cube[rest]
+    for i, g in enumerate(gmats):
+        h = 1 << i
+        np.matmul(cube[:h], g.T, out=cube[h:2 * h])
     return cube
 
 
 def _structure_from_generators(n: int) -> np.ndarray:
-    gmats = [generator_matrix(i, n) for i in range(1, n + 1)]
-    cube = _mult_operator_cube(gmats, n)
-    # cube[S][U][T] = N[S][T][U]
-    return cube.transpose(0, 2, 1)
+    return _structure_from_products([generator_matrix(i, n) for i in range(1, n + 1)])
 
 
 def _structure_from_oracle(n: int) -> np.ndarray:
-    """Structure constants read off from exact cyclotomic arithmetic in the
-    distinguished basis of the ring of dimensions; independent of
-    ``gen_mul``."""
-    gmats = [d_basis_generator_matrix(j, n) for j in range(1, n + 1)]
-    cube = _mult_operator_cube(gmats, n)
-    return cube.transpose(0, 2, 1)
+    """Structure constants from generator matrices computed by exact
+    cyclotomic arithmetic in the ``d_S`` basis; independent of ``gen_mul``."""
+    return _structure_from_products(
+        [d_basis_generator_matrix(j, n) for j in range(1, n + 1)]
+    )
 
 
 def _structure_from_recursion(n: int) -> np.ndarray:
-    """Level-by-level recursion for the structure constants.
-
-    Writing ``top`` for the new generator and ``S,T,U`` for old-level
-    subsets: constants with all three indices old are inherited; moving
-    ``top`` from one factor into the output copies the old constant;
-    ``top`` in both factors resolves through tail-interval sums; the
-    remaining sign patterns vanish.
+    """Level recursion from the presentation: level ``lev`` adjoins ``x``
+    with ``x^2 = 2 + x'`` (``x'`` the previous top generator, zero at level
+    1) and ``X_S x = X_(S + top)``.  For old subsets ``S,T,U``: old
+    constants are inherited; moving ``x`` from one factor into the output
+    copies them; ``x`` in both factors gives ``(2 + x') X_S X_T``; the rest
+    vanish.  Only the previous tensor is read.
     """
     tensor = np.ones((1, 1, 1), dtype=np.int64)
     for lev in range(1, n + 1):
@@ -260,22 +260,9 @@ def _structure_from_recursion(n: int) -> np.ndarray:
         new[:h, :h, :h] = tensor
         new[h:, :h, h:] = tensor
         new[:h, h:, h:] = tensor
-        def tail(k: int) -> int:
-            # generators k+1 .. lev-1 of the old level, as a mask
-            return (1 << (lev - 1)) - (1 << k) if k < lev - 1 else 0
-        for umask in range(h):
-            if umask == 0:
-                acc = np.zeros((h, h), dtype=np.int64)
-                for k in range(lev):
-                    acc += tensor[:, :, tail(k)]
-                new[h:, h:, 0] = 2 * acc
-            else:
-                b = umask.bit_length() - 1  # bit of the largest element of U
-                first = tail(b + 1) | (umask & ~(1 << b))
-                acc = np.zeros((h, h), dtype=np.int64)
-                for k in range(b + 1, lev):
-                    acc += tensor[:, :, tail(k) | umask]
-                new[h:, h:, umask] = tensor[:, :, first] + 2 * acc
+        new[h:, h:, :h] = 2 * tensor
+        if lev > 1:
+            new[h:, h:, :h] += tensor @ tensor[h // 2]
         tensor = new
     return tensor
 

@@ -103,14 +103,16 @@ def test_criterion_1_tilting_table():
 
 
 # ----------------------------------------------------------------------
-# 2. structure constants vs the dimension-ring oracle, all levels <= 8
+# 2. structure constants vs the dimension-ring oracle and the level
+# recursion, all levels <= 8
 
 
-@criterion("2 structure constants = dimension-ring oracle n<=8, n=8 <30s")
+@criterion("2 structure constants = dimension-ring oracle = level recursion n<=8, n=8 <30s")
 def test_criterion_2_structure_constants():
     from char2cat.fusion import (
         _structure_from_generators,
         _structure_from_oracle,
+        _structure_from_recursion,
     )
 
     rng = random.Random(0)
@@ -119,6 +121,7 @@ def test_criterion_2_structure_constants():
         by_rule = _structure_from_generators(n)
         by_ring = _structure_from_oracle(n)
         assert np.array_equal(by_rule, by_ring), n
+        assert np.array_equal(by_rule, _structure_from_recursion(n)), n
         vals = by_rule[by_rule != 0]
         assert ((vals & (vals - 1)) == 0).all(), n
         elapsed = time.perf_counter() - t0
@@ -329,6 +332,34 @@ def test_criterion_11_series_cap():
         assert sf.coefficient(m) == path_count(63, 2 * m), m
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
+
+
+# ----------------------------------------------------------------------
+# 12. the verify suite at its cap
+
+
+@criterion("12 verify --max-level 8 (VERIFY_LEVEL_CAP) cold via cli.run, <35s")
+def test_criterion_12_verify_cap():
+    import tempfile
+    from pathlib import Path
+
+    from char2cat import checks, cli
+
+    _clear_package_caches()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "verify.json"
+            t0 = time.perf_counter()
+            code = cli.run(["verify", "--max-level", str(checks.VERIFY_LEVEL_CAP),
+                            "--out", str(out)])
+            elapsed = time.perf_counter() - t0
+            payload = cli.parse_json(out.read_text())
+    finally:
+        _clear_package_caches()
+    assert code == 0
+    assert len(payload["checks"]) == len(checks.CHECKS)
+    assert all(c["pass"] for c in payload["checks"])
+    assert elapsed < 35.0, f"took {elapsed:.1f}s"
 
 
 def main() -> int:

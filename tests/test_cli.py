@@ -230,6 +230,10 @@ def test_cap_violations_name_the_cap(capsys):
         capsys, ["invariants", "--level", "1", "--max-m", "400"]
     )
     assert code == 2 and "SERIES_ORDER_CAP" in err
+    code, _, err = _run(capsys, ["verify", "--max-level", "9"])
+    assert code == 2 and "VERIFY_LEVEL_CAP" in err
+    code, _, err = _run(capsys, ["verify", "--max-level", "-1"])
+    assert code == 2 and "verify level" in err
 
 
 def _perturbed_recursion(n, route=fusion._structure_from_recursion):

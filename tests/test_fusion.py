@@ -210,6 +210,32 @@ def test_oracle_route_uses_no_fusion_rule(monkeypatch):
                 d_basis_generator_matrix(j, n)
 
 
+def test_recursion_reads_only_its_previous_tensor(monkeypatch):
+    from char2cat import fusion
+
+    by_rule = [fusion._structure_from_generators(n) for n in range(7)]
+
+    def forbidden(*args):
+        raise AssertionError("the level recursion left its own tensors")
+
+    for name in ("gen_mul", "generator_matrix", "d_basis_generator_matrix"):
+        monkeypatch.setattr(fusion, name, forbidden)
+    for n, want in enumerate(by_rule):
+        assert np.array_equal(fusion._structure_from_recursion(n), want), n
+
+
+def test_recursion_follows_the_presentation():
+    # the new top generator squares to 2 + the previous top generator
+    from char2cat.fusion import _structure_from_recursion
+
+    for n in range(2, 7):
+        t = _structure_from_recursion(n)
+        top, prev = 1 << (n - 1), 1 << (n - 2)
+        want = np.zeros(1 << n, dtype=np.int64)
+        want[0], want[prev] = 2, 1
+        assert np.array_equal(t[top, top], want), n
+
+
 def test_structure_tensor_entries_and_symmetry():
     for n in range(5):
         t = structure_tensor(n)

@@ -3,10 +3,11 @@
 ``d(m, n)`` counts the invariants in the ``2m``-th tensor power of the
 top simple at level ``n``.  The three routes are: a binomial recursion in
 the level, closed walks on a path graph with ``2**(n+1) - 1`` nodes, and
-the coefficients of a generating function defined by a functional
-equation, solved in integer arithmetic.  A truncated Clebsch-Gordan
-fusion on a finite label set provides the quantum-dimension bookkeeping
-used in the dimension totals.
+the coefficients of a generating function solved from its functional
+equation in integers, by a Horner composition in which multiplying by
+``z^k/(1-2z)^j`` is a shift by ``k`` and ``j`` one-pass divisions by
+``1-2z``.  A truncated Clebsch-Gordan fusion on a finite label set
+provides the quantum-dimension bookkeeping used in the dimension totals.
 """
 
 from __future__ import annotations
@@ -81,23 +82,12 @@ def d_recursive(m: int, n: int) -> int:
     return total
 
 
-def _mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j > order:
-                    break
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def series_f(n: int, order: int) -> PowerSeries:
     """Generating function of ``d(., n)`` to the given order, via the
     functional equation ``f_n = 1 + z/(1-2z) * f_{n-1}(z^2/(1-2z)^2)``.
-    Every series in it has integer coefficients, so the arithmetic is
-    exact in integers."""
+    Multiplying by ``z^k/(1-2z)^j`` is a shift by ``k``, then ``j`` passes
+    ``c[i] += 2 c[i-1]``, each dividing by ``1-2z``; the composition is a
+    Horner loop of such steps, exact in integers."""
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     if order < 0:
@@ -106,24 +96,23 @@ def series_f(n: int, order: int) -> PowerSeries:
         raise OrderTooLarge(
             f"order {order} exceeds the cap SERIES_ORDER_CAP={SERIES_ORDER_CAP}"
         )
-    # 1/(1-2z) = sum 2^k z^k, truncated
-    geom = [1 << k for k in range(order + 1)]
-    z2 = [0] * (order + 1)
-    if order >= 2:
-        z2[2] = 1
-    w = _mul_trunc(_mul_trunc(z2, geom, order), geom, order)  # z^2/(1-2z)^2
-    pref = _mul_trunc([0, 1], geom, order)  # z/(1-2z)
     coeffs = [1] + [0] * order
     for _ in range(n):
-        # compose the previous series with w by Horner in the series ring
+        # compose the previous series with w = z^2/(1-2z)^2 by Horner:
+        # comp <- c + w * comp.  w has valuation 2, so coefficients beyond
+        # order // 2 cannot contribute to the truncation
         comp = [0] * (order + 1)
-        # w has valuation 2, so coefficients beyond order // 2 cannot
-        # contribute to the truncation
         for c in reversed(coeffs[: order // 2 + 1]):
-            comp = _mul_trunc(comp, w, order)
+            comp = ([0, 0] + comp)[: order + 1]
+            for _ in range(2):
+                for i in range(1, order + 1):
+                    comp[i] += 2 * comp[i - 1]
             comp[0] += c
-        tail = _mul_trunc(pref, comp, order)
-        coeffs = [1 + tail[0]] + tail[1:]
+        # 1 + z/(1-2z) * comp
+        coeffs = ([0] + comp)[: order + 1]
+        for i in range(1, order + 1):
+            coeffs[i] += 2 * coeffs[i - 1]
+        coeffs[0] += 1
     return PowerSeries(tuple(coeffs), order)
 
 

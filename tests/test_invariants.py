@@ -114,6 +114,14 @@ def test_series_coefficients_are_integers():
         assert all(sf.coefficient(m).denominator == 1 for m in range(25))
 
 
+def test_series_truncation_keeps_low_coefficients():
+    # at orders 0 and 1 the shift by z^2 falls off the end of the list
+    for n in range(6):
+        full = series_f(n, 40).coeffs
+        for order in range(5):
+            assert series_f(n, order).coeffs == full[: order + 1], (n, order)
+
+
 def test_series_order_cap_named():
     with pytest.raises(OrderTooLarge, match="SERIES_ORDER_CAP"):
         series_f(2, SERIES_ORDER_CAP + 1)

@@ -5,10 +5,15 @@ parameters, a JSON-ready result payload, and a list of named pass/fail
 checks) together with the text renderer and the CSV renderer of its
 payload; the CSV renderer is ``None`` where CSV is not defined.  Exit
 status is 0 on success, 1 when any check fails, and 2 on usage errors
-(including level-cap violations, whose messages name the cap).  Integer
-values are serialized as decimal strings in JSON so that
-arbitrary-precision results survive any consumer; subsets appear both as
-sorted integer arrays and as their printed ``V_m`` index.
+(including level-cap violations, whose messages name the cap).
+
+JSON is written by the package's own writer, ``emit_json``, whose bytes are
+those of ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted
+keys, and every integer a decimal string, so that arbitrary-precision
+results survive any consumer.  Payloads hand it their tables as arrays
+(``int64`` matrices and ``Records``), which it writes one row at a time;
+the CSV and text renderers read the same arrays row by row.  Subsets
+appear both as sorted integer arrays and as their printed ``V_m`` index.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -41,32 +47,22 @@ class Report:
     def failed(self) -> bool:
         return any(not c["pass"] for c in self.checks)
 
-    def to_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "params": _jsonify(self.params),
-            "result": _jsonify(self.result),
-            "checks": [dict(c) for c in self.checks],
-        }
 
+@dataclass(frozen=True)
+class Records:
+    """A list of records with integer fields, held as one array: record
+    ``i`` maps ``keys[j]`` to ``rows[i, j]``."""
 
-def _jsonify(obj):
-    """Copy a payload converting every integer to a decimal string."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    keys: tuple
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def _unjsonify(obj):
-    """Inverse of ``_jsonify``: decimal strings back to integers."""
+    """Decimal strings back to integers: the inverse of writing integers as
+    decimal strings."""
     if isinstance(obj, str):
         stripped = obj[1:] if obj.startswith("-") else obj
         if stripped.isdigit():
@@ -79,8 +75,107 @@ def _unjsonify(obj):
     return obj
 
 
+_INF = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_ints(values, depth: int) -> str:
+    """A list of integers at nesting ``depth``, in one ``join``."""
+    if not values:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return f'[{inner}"' + f'",{inner}"'.join(map(str, values)) + f'"{inner[:-2]}]'
+
+
+def _json_records(rec: Records, depth: int) -> str:
+    """``Records`` at nesting ``depth``: one ``%`` template per record, its
+    fields in sorted key order."""
+    if not len(rec):
+        return "[]"
+    inner, field_ = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    order = sorted(range(len(rec.keys)), key=rec.keys.__getitem__)
+    template = inner + "{" + ",".join(
+        field_ + _quote(rec.keys[j]).replace("%", "%%") + ': "%d"' for j in order
+    ) + inner + "}"
+    body = ",".join([template % tuple(r) for r in rec.rows[:, order].tolist()])
+    return f"[{body}{inner[:-2]}]"
+
+
+def _write_list(values, depth: int, out: list) -> None:
+    if not len(values):
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    sep = "[" + inner
+    for value in values:
+        out.append(sep)
+        _write_json(value, depth + 1, out)
+        sep = "," + inner
+    out.append(inner[:-2] + "]")
+
+
+def _write_json(obj, depth: int, out: list) -> None:
+    """Append ``obj`` as JSON nested ``depth`` levels deep to ``out``."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(f'"{int(obj)}"')
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{_quote(key)}: ")  # a key that is not a str raises
+            _write_json(value, depth + 1, out)
+            sep = "," + inner
+        out.append(inner[:-2] + "}")
+    elif isinstance(obj, (list, tuple)):
+        if all(type(v) is int for v in obj):
+            out.append(_json_ints(obj, depth))
+        else:
+            _write_list(obj, depth, out)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim:
+        # a matrix is written one row at a time
+        if obj.ndim == 1:
+            out.append(_json_ints(obj.tolist(), depth))
+        else:
+            _write_list(obj, depth, out)
+    elif isinstance(obj, Records):
+        out.append(_json_records(obj, depth))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, with every
+    integer written as a decimal string."""
+    out: list = []
+    _write_json(obj, 0, out)
+    return "".join(out)
+
+
 def emit_json(report: Report) -> str:
-    return json.dumps(report.to_payload(), indent=2, sort_keys=True)
+    return _dumps({"command": report.command, "params": report.params,
+                   "result": report.result, "checks": report.checks})
 
 
 def parse_json(text: str) -> dict:
@@ -117,13 +212,13 @@ def _matrix_payload(m: int, mat: np.ndarray) -> dict:
     return {
         "index": m,
         "labels": [_v_label(s) for s in range(size)],
-        "matrix": mat.tolist(),
+        "matrix": mat,
     }
 
 
 # ----------------------------------------------------------------------
 # renderers: a text renderer returns the lines above the check lines, a
-# CSV renderer returns the rows
+# CSV renderer returns the lines of the table
 
 
 def _terms(pairs) -> str:
@@ -144,15 +239,18 @@ def _text_fields(res) -> list:
     return [f"{key}: {val}" for key, val in res.items()]
 
 
+def _csv_line(cells) -> str:
+    return ",".join(map(str, cells))
+
+
 def _text_matrix(res) -> list:
-    labels = res["labels"]
+    labels, mat = res["labels"], res["matrix"]
     width = max(len(lbl) for lbl in labels) + 1
-    cells = [[str(v) for v in row] for row in res["matrix"]]
-    colw = max(len(c) for row in cells + [labels] for c in row) + 1
-    lines = [" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels)]
-    for lbl, row in zip(labels, cells):
-        lines.append(lbl.ljust(width) + "".join(c.rjust(colw + 1) for c in row))
-    return lines
+    colw = max(len(c) for c in labels + [str(mat.max()), str(mat.min())]) + 1
+    row_fmt = f"%{colw + 1}d" * len(labels)
+    return [" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels)] + [
+        lbl.ljust(width) + row_fmt % tuple(row.tolist()) for lbl, row in zip(labels, mat)
+    ]
 
 
 def _text_ext1(res) -> list:
@@ -163,8 +261,10 @@ def _text_ext1(res) -> list:
 
 
 def _csv_matrix(res) -> list:
-    return [[""] + res["labels"]] + [
-        [lbl] + row for lbl, row in zip(res["labels"], res["matrix"])
+    labels = res["labels"]
+    row_fmt = ",%d" * len(labels)
+    return [_csv_line([""] + labels)] + [
+        lbl + row_fmt % tuple(row.tolist()) for lbl, row in zip(labels, res["matrix"])
     ]
 
 
@@ -176,15 +276,16 @@ def _text_product(res) -> list:
 
 
 def _text_structure(res) -> list:
-    return [f"level {res['level']}: {len(res['nonzero'])} nonzero constants"] + [
-        f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}"
-        for e in res["nonzero"]
+    rec = res["nonzero"]
+    return [f"level {res['level']}: {len(rec)} nonzero constants"] + [
+        "N[%d][%d][%d] = %d" % tuple(r) for r in rec.rows.tolist()
     ]
 
 
 def _csv_structure(res) -> list:
-    keys = ["left", "right", "out", "coeff"]
-    return [keys] + [[e[k] for k in keys] for e in res["nonzero"]]
+    rec = res["nonzero"]
+    row_fmt = ",".join(["%d"] * len(rec.keys))
+    return [_csv_line(rec.keys)] + [row_fmt % tuple(r) for r in rec.rows.tolist()]
 
 
 def _text_tilt_table(res) -> list:
@@ -192,8 +293,8 @@ def _text_tilt_table(res) -> list:
 
 
 def _csv_tilt_table(res) -> list:
-    return [["m", "index", "mult"]] + [
-        [row["m"], s["index"], s["mult"]] for row in res["rows"] for s in row["summands"]
+    return ["m,index,mult"] + [
+        f"{row['m']},{s['index']},{s['mult']}" for row in res["rows"] for s in row["summands"]
     ]
 
 
@@ -206,11 +307,11 @@ def _text_functor(res) -> list:
 
 
 def _csv_invariants(res) -> list:
-    return [res["columns"]] + res["rows"]
+    return [_csv_line(row) for row in [res["columns"]] + res["rows"]]
 
 
 def _text_invariants(res) -> list:
-    return [" ".join(map(str, row)) for row in _csv_invariants(res)]
+    return [" ".join(map(str, row)) for row in [res["columns"]] + res["rows"]]
 
 
 def _text_verify(res) -> list:
@@ -263,11 +364,8 @@ def _cmd_fusion(args) -> tuple:
         {
             "level": n,
             "simples": [_subset_payload(n, m) for m in range(1 << n)],
-            "nonzero": [
-                {"left": int(s), "right": int(t), "out": int(u),
-                 "coeff": int(tensor[s, t, u])}
-                for s, t, u in nz
-            ],
+            "nonzero": Records(("left", "right", "out", "coeff"),
+                               np.column_stack([nz, tensor[tuple(nz.T)]])),
         },
     )
     rep.add_check(
@@ -477,7 +575,7 @@ def _render(report: Report, fmt: str, text, csv) -> str:
     if fmt == "csv":
         if csv is None:
             raise ValueError(f"--format csv is not defined for this {report.command} mode")
-        return "\n".join(",".join(map(str, row)) for row in csv(report.result)) + "\n"
+        return "\n".join(csv(report.result)) + "\n"
     lines = text(report.result)
     for c in report.checks:
         lines.append(

@@ -624,12 +624,15 @@ def eval_min_poly_at_matrix(n: int, mat: np.ndarray) -> np.ndarray:
 # the category dimension)
 
 
+@lru_cache(maxsize=1)
 def d_cos_matrix(n: int) -> np.ndarray:
-    """Columns = cosine coordinates of d_S, S running over bitmasks."""
+    """Columns = cosine coordinates of d_S, S running over bitmasks; a
+    read-only array, cached for the last level asked for."""
     size = 1 << n
     mat = np.zeros((size, size), dtype=np.int64)
     for mask in range(size):
         mat[list(_d_cos_indices(mask, n)), mask] = 1
+    mat.setflags(write=False)
     return mat
 
 

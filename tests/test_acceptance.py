@@ -8,6 +8,7 @@ lines immediately.
 """
 
 import functools
+import json
 import math
 import random
 import sys
@@ -363,6 +364,78 @@ def test_criterion_12_verify_cap():
     assert len(payload["checks"]) == len(checks.CHECKS)
     assert all(c["pass"] for c in payload["checks"])
     assert elapsed < 35.0, f"took {elapsed:.1f}s"
+
+
+# ----------------------------------------------------------------------
+# 13. the table commands at their caps, printed through the CLI
+
+# The child reports its own VmHWM: on Linux ``ru_maxrss`` keeps, across
+# exec, the peak of the process that started the child, here the test run.
+_CAP_CHILD = """
+import sys, time
+from char2cat import cli
+t0 = time.perf_counter()
+code = cli.run(sys.argv[2:] + ["--out", sys.argv[1]])
+elapsed = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, elapsed, peak_kb)
+"""
+
+
+def _report_checks(path):
+    """The checks of a JSON report, read from its head alone: sorted keys
+    put the ``checks`` block first."""
+    head = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith('  "command": '):
+                break
+            head.append(line)
+    return json.loads("".join(head).rstrip().rstrip(",") + "\n}")["checks"]
+
+
+def _cli_in_child(argv):
+    """Run ``argv`` (JSON output) through ``cli.run`` in a fresh interpreter,
+    so every cache starts cold and the peak RSS is the command's own.
+    Returns the exit code, the seconds inside ``cli.run``, the peak RSS in
+    MB and the report's checks."""
+    import os
+    import subprocess
+    import tempfile
+    from pathlib import Path
+
+    import char2cat
+
+    env = dict(os.environ, PYTHONPATH=str(Path(char2cat.__file__).parents[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cap.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAP_CHILD, str(out), *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, elapsed, peak_kb = proc.stdout.split()
+        return int(code), float(elapsed), int(peak_kb) / 1024, _report_checks(out)
+
+
+@criterion("13 cartan --index 25 <25s, <1.5GB and fusion --level 8 <35s, <600MB "
+           "(json) cold via cli.run")
+def test_criterion_13_tables_at_caps():
+    from char2cat.fusion import STRUCTURE_LEVEL_CAP
+
+    for argv, names, budget_s, budget_mb in (
+        (["cartan", "--index", str(CATEGORY_INDEX_CAP)],
+         ["symmetric", "nonzero-entries-are-powers-of-two"], 25.0, 1500),
+        (["fusion", "--level", str(STRUCTURE_LEVEL_CAP)],
+         ["nonzero-coefficients-are-powers-of-two", "iteration-matches-level-recursion"],
+         35.0, 600),
+    ):
+        code, elapsed, rss_mb, report_checks = _cli_in_child(argv)
+        assert code == 0, argv
+        assert [c["name"] for c in report_checks] == names, argv
+        assert all(c["pass"] for c in report_checks), argv
+        assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
+        assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
 
 
 def main() -> int:

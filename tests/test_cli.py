@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import char2cat
 import char2cat.cli as cli
@@ -119,8 +123,89 @@ def test_json_roundtrip_fixed_point(capsys):
         ["invariants", "--level", "2", "--max-m", "4"],
     ):
         _, out, _ = _run(capsys, argv)
-        payload = parse_json(out)
-        assert cli._unjsonify(cli._jsonify(payload)) == payload
+        assert cli.emit_json(cli.Report(**parse_json(out))) + "\n" == out, argv
+
+
+def _reference_jsonify(obj):
+    """The payload copy the JSON writer replaced, with arrays read as the
+    nested lists payloads used to carry."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, float):
+        return obj
+    if isinstance(obj, dict):
+        return {k: _reference_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _reference_jsonify(obj.tolist())
+    return obj
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(_reference_jsonify(obj), indent=2, sort_keys=True)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    _INT64.map(np.int64),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.lists(st.one_of(st.integers(), st.booleans())),
+    st.integers(0, 6).flatmap(lambda n: arrays(np.int64, (n, n), elements=_INT64)),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.tuples(kids, kids),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_matches_reference_encoder(obj):
+    assert cli._dumps(obj) == _reference_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_INT64, _INT64, _INT64, _INT64), max_size=12))
+def test_json_writer_records_match_list_of_dicts(rows):
+    keys = ("left", "right", "out", "coeff")
+    rec = cli.Records(keys, np.array(rows, dtype=np.int64).reshape(-1, 4))
+    dicts = [dict(zip(keys, r)) for r in rows]
+    for nest in (lambda x: x, lambda x: [x], lambda x: {"level": 3, "nonzero": x}):
+        assert cli._dumps(nest(rec)) == _reference_json(nest(dicts))
+    res = {"level": 3, "nonzero": rec}
+    assert cli._text_structure(res)[1:] == [
+        f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}" for e in dicts
+    ]
+    assert cli._csv_structure(res) == [",".join(keys)] + [
+        ",".join(str(e[k]) for k in keys) for e in dicts
+    ]
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for bad in (np.float32(1.0), np.bool_(True), object()):
+        with pytest.raises(TypeError):
+            json.dumps(_reference_jsonify(bad))
+        with pytest.raises(TypeError):
+            cli._dumps([bad])
+    # payloads carry only string keys and integer arrays
+    for bad in ({1: "x"}, np.zeros((2, 2))):
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
 
 
 def test_csv_header_row_uses_v_labels(capsys):

@@ -130,9 +130,10 @@ def mult_matrix_routes(max_level):
     lev = min(max_level + 2, 10)
     for n in range(lev + 1):
         gen = fusion.generator_matrix(n, n) if n else np.zeros((1, 1), dtype=np.int64)
-        if not np.array_equal(gen, fusion.mult_matrix(n)):
+        block = fusion.mult_matrix(n)
+        if not np.array_equal(gen, block):
             return False, f"level {n}"
-        if cyclotomic.eval_min_poly_at_matrix(n, fusion.mult_matrix(n)).any():
+        if cyclotomic.eval_min_poly_at_matrix(n, block).any():
             return False, f"annihilation fails at level {n}"
     return True, f"generator matrix = block recursion and annihilation, levels 0..{lev}"
 

@@ -61,11 +61,11 @@ class Records:
 
 
 def _unjsonify(obj):
-    """Decimal strings back to integers: the inverse of writing integers as
-    decimal strings."""
+    """ASCII decimal strings back to integers: the inverse of writing
+    integers as decimal strings."""
     if isinstance(obj, str):
         stripped = obj[1:] if obj.startswith("-") else obj
-        if stripped.isdigit():
+        if stripped.isascii() and stripped.isdigit():
             return int(obj)
         return obj
     if isinstance(obj, dict):

@@ -597,25 +597,46 @@ def min_poly_root_gap(n: int, bits: int = 256) -> float:
     return (abs(y) + err) / scale
 
 
+def exact_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for integer-valued ``float64`` arrays, exactly and through BLAS.
+
+    Every partial sum of the product is at most ``k * max|a| * max|b|`` in
+    absolute value, ``k`` the inner dimension.  Below 2**53 each partial sum
+    is an integer that ``float64`` represents exactly, so the product is
+    exact integer arithmetic; otherwise ``NotIntegral`` is raised before
+    multiplying, and nothing is rounded.
+    """
+    if a.size and b.size:
+        bound = a.shape[-1] * _abs_max(a) * _abs_max(b)
+        if bound >= 1 << 53:
+            raise NotIntegral(
+                f"float64 product bound {bound} is not below 2**53, so it "
+                "would not be exact"
+            )
+    return np.matmul(a, b, out=out)
+
+
+def _abs_max(a: np.ndarray) -> int:
+    # two reductions instead of np.abs(a).max(), which copies the array
+    return int(max(a.max(), -a.min()))
+
+
 def eval_min_poly_at_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     """p_n evaluated at an integer matrix through its nested form.
 
     Iterating M -> M@M - 2I realizes p_n = p_0((..(x^2-2)..)^2-2) with n
     squarings, which is exact and avoids the enormous dense coefficients.
+    The squarings are ``exact_matmul`` calls, so entries too large for an
+    exact ``float64`` product raise ``NotIntegral``.
     """
     check_level(n)
-    out = np.array(mat, dtype=np.int64, copy=True)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+    mat = np.asarray(mat, dtype=np.int64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    # With every entry bounded by 2**20 and dimension at most 2**12, each
-    # partial sum of a product stays below 2**52, so float64 matmuls are
-    # exact integer arithmetic here (and run through BLAS).
-    work = out.astype(np.float64)
-    eye2 = 2.0 * np.eye(out.shape[0])
+    work = mat.astype(np.float64)
+    eye2 = 2.0 * np.eye(mat.shape[0])
     for _ in range(n):
-        if work.size and np.abs(work).max() > 1 << 20:
-            raise NotIntegral("matrix entries grew beyond the exactly-representable range")
-        work = work @ work - eye2
+        work = exact_matmul(work, work) - eye2
     return work.astype(np.int64)
 
 

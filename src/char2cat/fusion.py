@@ -8,7 +8,11 @@ products by iterating it.  The full structure-constant tensor comes by
 three independent routes that the tests compare: generator iteration and
 the exact cyclotomic-arithmetic oracle, which feed their generator
 matrices to one subset-product builder, and a level recursion built on the
-presentation ``x^2 = 2 + x'`` of each new generator ``x``.
+presentation ``x^2 = 2 + x'`` of each new generator ``x``.  The builder
+does one exact ``float64`` gemm per generator and the recursion one per
+level, both through ``cyclotomic.exact_matmul``: numpy has no BLAS for
+``int64``, and the entries (at most ``2^n``) are far inside the range
+where ``float64`` integer arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .cyclotomic import (
     check_subset,
     d_basis_element,
     d_basis_generator_matrix,
+    exact_matmul,
 )
 from .errors import GeneratorOutOfRange, LevelMismatch
 
@@ -221,16 +226,20 @@ def _structure_from_products(gmats: list[np.ndarray]) -> np.ndarray:
     """``N[S][T][U]`` from one route's generator matrices ``g_1 .. g_n``.
 
     ``N[S]`` (rows = right factor, columns = output class) is
-    ``N[S - i] @ g_i.T`` for the largest ``i`` in ``S``, so the masks
-    ``2^(i-1) .. 2^i - 1`` are one batched product per generator.
+    ``N[S - i] @ g_i.T`` for the largest ``i`` in ``S``.  Viewing the cube
+    as one matrix with rows ``(S, T)``, the masks ``2^(i-1) .. 2^i - 1``
+    are then a single exact ``float64`` gemm per generator.  numpy has no
+    BLAS for ``int64``, and a stacked ``matmul`` over ``cube[:h]`` would
+    make one BLAS call per slice, ``2^(i-1)`` calls for generator ``i``.
     """
     size = 1 << len(gmats)
-    cube = np.empty((size, size, size), dtype=np.int64)
-    cube[0] = np.identity(size, dtype=np.int64)
+    cube = np.empty((size, size, size), dtype=np.float64)
+    cube[0] = np.identity(size)
+    flat = cube.reshape(size * size, size)
     for i, g in enumerate(gmats):
-        h = 1 << i
-        np.matmul(cube[:h], g.T, out=cube[h:2 * h])
-    return cube
+        rows = (1 << i) * size
+        exact_matmul(flat[:rows], g.T.astype(np.float64), out=flat[rows:2 * rows])
+    return cube.astype(np.int64)
 
 
 def _structure_from_generators(n: int) -> np.ndarray:
@@ -251,7 +260,8 @@ def _structure_from_recursion(n: int) -> np.ndarray:
     1) and ``X_S x = X_(S + top)``.  For old subsets ``S,T,U``: old
     constants are inherited; moving ``x`` from one factor into the output
     copies them; ``x`` in both factors gives ``(2 + x') X_S X_T``; the rest
-    vanish.  Only the previous tensor is read.
+    vanish.  Only the previous tensor is read; the ``x'`` term is one
+    exact ``float64`` gemm with the previous tensor viewed as rows ``(S, T)``.
     """
     tensor = np.ones((1, 1, 1), dtype=np.int64)
     for lev in range(1, n + 1):
@@ -262,7 +272,9 @@ def _structure_from_recursion(n: int) -> np.ndarray:
         new[:h, h:, h:] = tensor
         new[h:, h:, :h] = 2 * tensor
         if lev > 1:
-            new[h:, h:, :h] += tensor @ tensor[h // 2]
+            prev = tensor.astype(np.float64)
+            times_x_prime = exact_matmul(prev.reshape(h * h, h), prev[h // 2])
+            new[h:, h:, :h] += times_x_prime.astype(np.int64).reshape(h, h, h)
         tensor = new
     return tensor
 

@@ -126,6 +126,13 @@ def test_json_roundtrip_fixed_point(capsys):
         assert cli.emit_json(cli.Report(**parse_json(out))) + "\n" == out, argv
 
 
+def test_parse_json_restores_only_ascii_decimal_strings():
+    assert parse_json('{"a": "12", "b": "-3"}') == {"a": 12, "b": -3}
+    # non-ASCII digits (Arabic-Indic, superscript) and a bare sign stay text
+    for text in ("١٢", "²", "-"):
+        assert parse_json(json.dumps({"a": text})) == {"a": text}
+
+
 def _reference_jsonify(obj):
     """The payload copy the JSON writer replaced, with arrays read as the
     nested lists payloads used to carry."""

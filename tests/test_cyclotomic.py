@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
+from char2cat import fusion
 from char2cat.cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
@@ -20,6 +21,7 @@ from char2cat.cyclotomic import (
     divide_exact,
     embed,
     eval_min_poly_at_matrix,
+    exact_matmul,
     min_poly,
     min_poly_root_gap,
     to_d_basis,
@@ -448,3 +450,30 @@ def test_eval_min_poly_at_matrix_matches_direct_evaluation():
 def test_eval_min_poly_at_matrix_guards_overflow():
     with pytest.raises(NotIntegral):
         eval_min_poly_at_matrix(4, np.array([[1 << 21]], dtype=np.int64))
+
+
+def test_exact_matmul_matches_object_reference():
+    rng = np.random.default_rng(7)
+    for rows, inner, cols in ((1, 1, 1), (3, 5, 2), (8, 8, 8), (16, 4, 9)):
+        a = rng.integers(-50, 51, size=(rows, inner))
+        b = rng.integers(-50, 51, size=(inner, cols))
+        got = exact_matmul(a.astype(np.float64), b.astype(np.float64))
+        want = a.astype(object) @ b.astype(object)
+        assert np.array_equal(got.astype(np.int64).astype(object), want)
+
+
+def test_exact_matmul_refuses_a_bound_reaching_2_53():
+    big = np.full((1, 4), float(1 << 25))
+    ok = exact_matmul(big, np.full((4, 1), float((1 << 26) - 1)))
+    assert int(ok[0, 0]) == 4 * (1 << 25) * ((1 << 26) - 1)
+    with pytest.raises(NotIntegral):
+        exact_matmul(big, np.full((4, 1), float(1 << 26)))
+    with pytest.raises(NotIntegral):
+        exact_matmul(-big, np.full((4, 1), float(1 << 26)))
+
+
+def test_structure_builder_refuses_an_inexact_generator():
+    gmats = [fusion.generator_matrix(i, 2).copy() for i in (1, 2)]
+    gmats[1][0, 0] = 1 << 52
+    with pytest.raises(NotIntegral):
+        fusion._structure_from_products(gmats)

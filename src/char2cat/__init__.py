@@ -71,9 +71,12 @@ from .invariants import (
     verlinde_qdim,
 )
 from .tilting import (
+    FUNCTOR_LEVEL_CAP,
+    TILT_INDEX_CAP,
     TiltSum,
     WeightChar,
     decompose,
+    functor_images,
     functor_to_fusion,
     in_T1_polynomial,
     quotient_reduce,

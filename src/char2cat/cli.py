@@ -4,8 +4,9 @@ Every subcommand handler returns a ``Report`` (the echoed command, its
 parameters, a JSON-ready result payload, and a list of named pass/fail
 checks) together with the text renderer and the CSV renderer of its
 payload; the CSV renderer is ``None`` where CSV is not defined.  Exit
-status is 0 on success, 1 when any check fails, and 2 on usage errors
-(including level-cap violations, whose messages name the cap).
+status is 0 on success, 1 when any check fails or a computation meets an
+internal inconsistency (``NotIntegral``, ``NotTiltingCharacter``), and 2 on
+usage errors (including cap violations, whose messages name the cap).
 
 JSON is written by the package's own writer, ``emit_json``, whose bytes are
 those of ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted
@@ -28,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import checks, cyclotomic, fusion, homology, invariants, tilting
-from .errors import Char2CatError
+from .errors import Char2CatError, NotIntegral, NotTiltingCharacter
 
 __all__ = ["Report", "run", "main"]
 
@@ -468,6 +469,15 @@ def _cmd_tilt(args) -> tuple:
     modes = [args.table, args.decompose is not None, args.functor is not None]
     if sum(modes) != 1:
         raise ValueError("choose exactly one of --table, --decompose, --functor")
+    if args.decompose is not None:
+        cyclotomic.check_level(args.decompose, tilting.TILT_INDEX_CAP, "tensor power",
+                               cap_name="TILT_INDEX_CAP")
+    else:
+        cyclotomic.check_level(args.max_m, tilting.TILT_INDEX_CAP, "tilt index",
+                               cap_name="TILT_INDEX_CAP")
+    if args.functor is not None:
+        cyclotomic.check_level(args.functor, tilting.FUNCTOR_LEVEL_CAP, "functor level",
+                               cap_name="FUNCTOR_LEVEL_CAP")
     if args.table:
         rows = []
         lead_ok = True
@@ -499,16 +509,13 @@ def _cmd_tilt(args) -> tuple:
         )
         return rep, _text_decompose, None
     n = args.functor
-    rows = []
-    for m in range(args.max_m + 1):
-        img = tilting.functor_to_fusion(tilting.TiltSum.from_dict({m: 1}), n)
-        rows.append({"m": m, "image": _elt_payload(img)})
+    top = (1 << (n + 1)) - 1
+    imgs = tilting.functor_images(max(args.max_m, top), n)
+    rows = [{"m": m, "image": _elt_payload(imgs[m])} for m in range(args.max_m + 1)]
     rep = Report("tilt", {"max_m": args.max_m, "functor": n},
                  {"level": n, "max_m": args.max_m, "rows": rows})
-    top = (1 << (n + 1)) - 1
-    img_top = tilting.functor_to_fusion(tilting.TiltSum.from_dict({top: 1}), n)
     rep.add_check(
-        "kills-first-index-above-quotient", img_top.is_zero,
+        "kills-first-index-above-quotient", imgs[top].is_zero,
         f"index {top} maps to zero at level {n}",
     )
     return rep, _text_functor, None
@@ -516,6 +523,8 @@ def _cmd_tilt(args) -> tuple:
 
 def _cmd_invariants(args) -> tuple:
     n, top = args.level, args.max_m
+    if top < 0:
+        raise ValueError(f"--max-m must be nonnegative, got {top}")
     routes = ["recursion", "paths", "series"] if args.route == "all" else [args.route]
     columns = {"recursion": [], "paths": [], "series": []}
     if "recursion" in routes:
@@ -677,6 +686,9 @@ def run(argv=None) -> int:
     try:
         report, to_text, to_csv = _DISPATCH[args.command](args)
         text = _render(report, args.format, to_text, to_csv)
+    except (NotIntegral, NotTiltingCharacter) as exc:  # an internal inconsistency
+        print(f"char2cat: internal error: {exc}", file=sys.stderr)
+        return 1
     except (Char2CatError, ValueError) as exc:
         print(f"char2cat: error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,12 @@ mismatch there is treated as a build-stopping failure.
 Decomposition into indecomposables is greedy peeling from the highest
 weight, which is well defined because each character has its highest
 weight with multiplicity one.  The quotient operation drops indices at or
-above a threshold, and the evaluation map sends each indecomposable to an
-integer polynomial in the degree-1 class, which can then be evaluated on
-the top fusion generator.
+above a threshold.  Tensoring with the degree-1 module is unitriangular on
+indecomposables, so one row step of that table,
+``img(T_(t+1)) = x img(T_t) - sum_s k_s img(T_s)``, builds the image of each
+indecomposable in any ring where the degree-1 class goes to ``x``: the
+integer polynomials in the degree-1 class, and each level-``n`` fusion ring
+with ``x`` its top generator.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from functools import lru_cache
 
 from .cyclotomic import IntPoly
 from .errors import NotTiltingCharacter
-from .chebyshev import eval_poly
-from .fusion import FusionElt, fusion_elt, simple_elt
+from .fusion import FusionElt, fusion_elt, simple_elt, unit
 
 __all__ = [
+    "FUNCTOR_LEVEL_CAP",
+    "TILT_INDEX_CAP",
     "WeightChar",
     "TiltSum",
     "weyl_char",
@@ -40,9 +44,18 @@ __all__ = [
     "tensor_power_decompose",
     "in_T1_polynomial",
     "quotient_reduce",
+    "functor_images",
     "functor_to_fusion",
     "steinberg_dim",
 ]
+
+#: Largest fusion level the functor images are taken at.  Level 10 needs
+#: the images of indices 0..2047 and takes seconds; level 11 needs twice
+#: as many and takes over twice as long.
+FUNCTOR_LEVEL_CAP = 10
+#: Largest index, or tensor power, the tilting tables accept: ``2**11 - 1``,
+#: the index the level-10 functor check reads.
+TILT_INDEX_CAP = 2047
 
 
 @dataclass(frozen=True)
@@ -267,6 +280,21 @@ def tensor_power_decompose(r: int) -> TiltSum:
     return decompose(acc)
 
 
+def _tensor_v_step(t: int, imgs: list, x):
+    """Image of index ``t + 1`` from the images of ``0..t``: the
+    tensor-by-degree-1 row ``T_t V = T_(t+1) + sum_s k_s T_s`` solved for
+    its leading summand, with the degree-1 class sent to ``x``."""
+    row = tilt_tensor_v(t).as_dict()
+    if row.pop(t + 1, 0) != 1:
+        raise NotTiltingCharacter(
+            f"tensor-by-degree-1 row at index {t} is not unitriangular"
+        )
+    nxt = x * imgs[t]
+    for s, k in row.items():
+        nxt = nxt - imgs[s] * k
+    return nxt
+
+
 _g_cache: list[IntPoly] = [IntPoly((1,)), IntPoly((0, 1))]
 _g_lock = threading.Lock()
 
@@ -274,8 +302,8 @@ _g_lock = threading.Lock()
 def in_T1_polynomial(m: int) -> IntPoly:
     """The degree-``m`` integer polynomial expressing the ``m``-th
     indecomposable class in terms of the degree-1 class in the split
-    Grothendieck ring, by inverting the triangular tensor-by-degree-1
-    system."""
+    Grothendieck ring: the tensor-by-degree-1 row step with ``x`` the
+    polynomial ``x``."""
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
     if m < len(_g_cache):  # existing entries never change; append is atomic
@@ -283,17 +311,7 @@ def in_T1_polynomial(m: int) -> IntPoly:
     x = IntPoly((0, 1))
     with _g_lock:
         while len(_g_cache) <= m:
-            top = len(_g_cache) - 1
-            row = tilt_tensor_v(top).as_dict()
-            lead = row.pop(top + 1, 0)
-            if lead != 1:
-                raise NotTiltingCharacter(
-                    f"tensor-by-degree-1 row at index {top} is not unitriangular"
-                )
-            nxt = x * _g_cache[top]
-            for s, k in row.items():
-                nxt = nxt - _g_cache[s] * k
-            _g_cache.append(nxt)
+            _g_cache.append(_tensor_v_step(len(_g_cache) - 1, _g_cache, x))
     return _g_cache[m]
 
 
@@ -305,11 +323,28 @@ def quotient_reduce(ts: TiltSum, n: int) -> TiltSum:
     return TiltSum.from_dict({m: k for m, k in ts.entries if m < cutoff})
 
 
+def functor_images(m: int, n: int) -> list[FusionElt]:
+    """Images of the indecomposables ``0..m`` in the level-``n`` fusion
+    ring: index 0 goes to the unit, and each further index follows by the
+    tensor-by-degree-1 row step with ``x`` the top generator (zero at
+    level 0)."""
+    if m < 0:
+        raise ValueError(f"index must be nonnegative, got {m}")
+    zero = fusion_elt(n, {})
+    x = simple_elt(n, 1 << (n - 1)) if n else zero
+    imgs = [unit(n)]
+    for t in range(m):
+        imgs.append(_tensor_v_step(t, imgs, x))
+    return imgs
+
+
 def functor_to_fusion(ts: TiltSum, n: int) -> FusionElt:
-    """Class-level image in the level-``n`` fusion ring: each index ``m``
-    maps to its in-degree-1 polynomial evaluated at the top generator."""
-    target = simple_elt(n, 1 << (n - 1)) if n >= 1 else fusion_elt(0, {})
+    """Class-level image in the level-``n`` fusion ring: the
+    multiplicity-weighted sum of ``functor_images`` up to the largest index
+    in ``ts``."""
     acc = fusion_elt(n, {})
-    for m, k in ts.entries:
-        acc = acc + eval_poly(in_T1_polynomial(m), target) * k
+    if ts.entries:
+        imgs = functor_images(ts.entries[0][0], n)
+        for m, k in ts.entries:
+            acc = acc + imgs[m] * k
     return acc

@@ -438,6 +438,30 @@ def test_criterion_13_tables_at_caps():
         assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
 
 
+# ----------------------------------------------------------------------
+# 14. the tilt commands at their caps, printed through the CLI
+
+
+@criterion("14 tilt --functor 10 --max-m 2047 <15s, <1.7GB, --table --max-m 2047 <7s, "
+           "--decompose 2047 <6s (json) cold via cli.run")
+def test_criterion_14_tilt_at_caps():
+    from char2cat.tilting import FUNCTOR_LEVEL_CAP, TILT_INDEX_CAP
+
+    index = str(TILT_INDEX_CAP)
+    for argv, names, budget_s, budget_mb in (
+        (["tilt", "--functor", str(FUNCTOR_LEVEL_CAP), "--max-m", index],
+         ["kills-first-index-above-quotient"], 15.0, 1700),
+        (["tilt", "--table", "--max-m", index], ["top-summand-multiplicity-one"], 7.0, 650),
+        (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 6.0, 450),
+    ):
+        code, elapsed, rss_mb, report_checks = _cli_in_child(argv)
+        assert code == 0, argv
+        assert [c["name"] for c in report_checks] == names, argv
+        assert all(c["pass"] for c in report_checks), argv
+        assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
+        assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
+
+
 def main() -> int:
     failures = 0
     for fn in _CRITERIA:

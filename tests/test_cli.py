@@ -326,6 +326,42 @@ def test_cap_violations_name_the_cap(capsys):
     assert code == 2 and "VERIFY_LEVEL_CAP" in err
     code, _, err = _run(capsys, ["verify", "--max-level", "-1"])
     assert code == 2 and "verify level" in err
+    over_index = str(tilting.TILT_INDEX_CAP + 1)
+    over_level = str(tilting.FUNCTOR_LEVEL_CAP + 1)
+    for argv, name in (
+        (["tilt", "--table", "--max-m", over_index], "TILT_INDEX_CAP"),
+        (["tilt", "--decompose", over_index], "TILT_INDEX_CAP"),
+        (["tilt", "--functor", "2", "--max-m", over_index], "TILT_INDEX_CAP"),
+        (["tilt", "--functor", over_level, "--max-m", "1"], "FUNCTOR_LEVEL_CAP"),
+        (["tilt", "--table", "--max-m", "-3"], "tilt index"),
+        (["tilt", "--decompose", "-1"], "tensor power"),
+        (["tilt", "--functor", "3", "--max-m", "-1"], "tilt index"),
+        (["tilt", "--functor", "-1", "--max-m", "1"], "functor level"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and name in err and out == "", argv
+
+
+@pytest.mark.parametrize("route", ["recursion", "paths", "series", "all"])
+def test_negative_invariants_order_is_a_usage_error(capsys, route):
+    code, out, err = _run(
+        capsys, ["invariants", "--level", "1", "--max-m", "-1", "--route", route]
+    )
+    assert code == 2 and out == "" and "--max-m must be nonnegative" in err
+
+
+def test_inconsistent_tensor_table_exits_one(monkeypatch, capsys):
+    def no_leading_summand(m, route=tilting.tilt_tensor_v):
+        return tilting.TiltSum.from_dict(
+            {i: k for i, k in route(m).entries if i != m + 1}
+        )
+
+    monkeypatch.setattr(tilting, "tilt_tensor_v", no_leading_summand)
+    code, out, _ = _run(capsys, ["tilt", "--table", "--max-m", "5", "--format", "text"])
+    assert code == 1 and "[FAIL] top-summand-multiplicity-one" in out
+    code, out, err = _run(capsys, ["tilt", "--functor", "3", "--max-m", "5"])
+    assert code == 1 and out == ""
+    assert "internal error" in err and "not unitriangular" in err
 
 
 def _perturbed_recursion(n, route=fusion._structure_from_recursion):

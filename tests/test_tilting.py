@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from char2cat.chebyshev import cheb_q
+from char2cat import chebyshev, tilting
+from char2cat.chebyshev import cheb_q, eval_poly
+from char2cat.cli import parse_json, run
 from char2cat.cyclotomic import IntPoly
 from char2cat.errors import NotTiltingCharacter
 from char2cat.fusion import fusion_elt, product, simple_elt
@@ -15,6 +17,7 @@ from char2cat.tilting import (
     WeightChar,
     char_mul,
     decompose,
+    functor_images,
     functor_to_fusion,
     in_T1_polynomial,
     quotient_reduce,
@@ -238,3 +241,39 @@ def test_functor_sends_generator_to_generator():
     # at level 0 the degree-1 module maps to zero
     assert functor_to_fusion(TiltSum.from_dict({1: 1}), 0).is_zero
     assert functor_to_fusion(TiltSum.from_dict({0: 1}), 0) == fusion_elt(0, {0: 1})
+
+
+def _top_generator(n):
+    return simple_elt(n, 1 << (n - 1)) if n else fusion_elt(0, {})
+
+
+def test_functor_images_match_polynomial_evaluation():
+    # reference: each index's in-degree-1 polynomial evaluated at the top
+    # generator; every image is an actual object, so its coefficients are
+    # positive
+    for n in range(7):
+        x = _top_generator(n)
+        imgs = functor_images(max(63, (1 << (n + 1)) - 1), n)
+        for m, img in enumerate(imgs):
+            assert img == eval_poly(in_T1_polynomial(m), x), (n, m)
+            assert all(c > 0 for _, c in img.coeffs), (n, m)
+
+
+def test_functor_route_uses_no_polynomials(monkeypatch, capsys):
+    n, top = 4, 40
+    want = [eval_poly(in_T1_polynomial(m), _top_generator(n)) for m in range(top + 1)]
+
+    def forbidden(*args):
+        raise AssertionError("the functor route reached the polynomial route")
+
+    monkeypatch.setattr(chebyshev, "eval_poly", forbidden)
+    monkeypatch.setattr(tilting, "in_T1_polynomial", forbidden)
+    for m in range(top + 1):
+        assert functor_to_fusion(TiltSum.from_dict({m: 1}), n) == want[m], m
+    mixed = TiltSum.from_dict({3: 2, 17: 1, 40: 5})
+    assert functor_to_fusion(mixed, n) == want[3] * 2 + want[17] + want[40] * 5
+    assert run(["tilt", "--functor", str(n), "--max-m", str(top)]) == 0
+    rows = parse_json(capsys.readouterr().out)["result"]["rows"]
+    assert [{e["index"]: e["coeff"] for e in row["image"]} for row in rows] == [
+        img.as_dict() for img in want
+    ]

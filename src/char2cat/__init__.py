@@ -5,7 +5,12 @@ rings, dimension values, tilting-character calculus, Cartan and
 first-extension data, and counting invariants attached to a doubling chain
 of tensor categories, and cross-verifies every quantity along at least two
 independent routes.
+
+Every cache in the package is a ``functools.lru_cache`` on values a command
+re-reads; ``clear_caches()`` empties them all.
 """
+
+import sys
 
 from .chebyshev import cheb_q, eval_poly, split_signs
 from .cyclotomic import (
@@ -90,3 +95,12 @@ from .tilting import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` in the package's loaded modules."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

@@ -1,8 +1,10 @@
 """Dilated Chebyshev polynomials and exact polynomial evaluation.
 
 The polynomials ``q_m`` are the monic integer solutions of
-``q_m(2 cos t) = sin((m+1) t) / sin t``, generated by the three-term
-recurrence ``q_0 = 1``, ``q_1 = x``, ``q_{m+1} = x q_m - q_{m-1}``.  The
+``q_m(2 cos t) = sin((m+1) t) / sin t``.  ``cheb_q`` builds each one per
+call from its closed form, the coefficient ``(-1)**k C(m-k, k)`` at
+``x**(m-2k)``; the three-term recurrence ``q_0 = 1``, ``q_1 = x``,
+``q_{m+1} = x q_m - q_{m-1}`` is what the test-suite checks it against.  The
 member of the family with degree ``2**n - 1`` annihilates the top fusion
 generator at level ``n - 1`` and sends it to the largest simple at level
 ``n``; those identities are exercised by the test-suite.
@@ -15,7 +17,7 @@ dtype), so it is exact for every input size this package produces.
 
 from __future__ import annotations
 
-import threading
+import math
 
 import numpy as np
 
@@ -24,21 +26,16 @@ from .errors import DimensionMismatch
 
 __all__ = ["cheb_q", "split_signs", "eval_poly"]
 
-_q_cache: list[IntPoly] = [IntPoly((1,)), IntPoly((0, 1))]
-_q_lock = threading.Lock()
-
 
 def cheb_q(m: int) -> IntPoly:
-    """The degree-``m`` polynomial with ``q_m(2 cos t) = sin((m+1)t)/sin t``."""
+    """The degree-``m`` polynomial with ``q_m(2 cos t) = sin((m+1)t)/sin t``:
+    coefficient ``(-1)**k C(m-k, k)`` at ``x**(m-2k)``."""
     if m < 0:
         raise ValueError(f"cheb_q index must be nonnegative, got {m}")
-    if m < len(_q_cache):  # existing entries never change; append is atomic
-        return _q_cache[m]
-    x = IntPoly((0, 1))
-    with _q_lock:
-        while len(_q_cache) <= m:
-            _q_cache.append(x * _q_cache[-1] - _q_cache[-2])
-    return _q_cache[m]
+    coeffs = [0] * (m + 1)
+    for k in range(m // 2 + 1):
+        coeffs[m - 2 * k] = (-1) ** k * math.comb(m - k, k)
+    return IntPoly(tuple(coeffs))
 
 
 def split_signs(p: IntPoly) -> tuple[IntPoly, IntPoly]:

@@ -6,7 +6,8 @@ checks) together with the text renderer and the CSV renderer of its
 payload; the CSV renderer is ``None`` where CSV is not defined.  Exit
 status is 0 on success, 1 when any check fails or a computation meets an
 internal inconsistency (``NotIntegral``, ``NotTiltingCharacter``), and 2 on
-usage errors (including cap violations, whose messages name the cap).
+usage errors (including cap violations, whose messages name the cap, and an
+``--out`` file that cannot be written).
 
 JSON is written by the package's own writer, ``emit_json``, whose bytes are
 those of ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted
@@ -523,6 +524,8 @@ def _cmd_tilt(args) -> tuple:
 
 def _cmd_invariants(args) -> tuple:
     n, top = args.level, args.max_m
+    if n < 0:
+        raise ValueError(f"--level must be nonnegative, got {n}")
     if top < 0:
         raise ValueError(f"--max-m must be nonnegative, got {top}")
     routes = ["recursion", "paths", "series"] if args.route == "all" else [args.route]
@@ -693,8 +696,13 @@ def run(argv=None) -> int:
         print(f"char2cat: error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"char2cat: error: cannot write --out {args.out}: {reason}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if report.failed else 0

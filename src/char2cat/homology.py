@@ -5,9 +5,11 @@ Category indices ``m`` run along the whole chain; level ``m`` has
 bitmask order (subsets without the top generator first).  The Cartan and
 first-extension matrices are read-only ``int64`` arrays built by one
 doubling step: block diagonal at even indices, four blocks of the two
-previous matrices at odd ones.  Single extension dimensions also follow a
-five-case recursion on membership of the top generator, an independent
-per-entry route to the same values.
+previous matrices at odd ones.  Each call walks the chain level by level
+on the pair of the two previous matrices and keeps nothing below it, so
+the cache holds one matrix per index asked for.  Single extension
+dimensions also follow a five-case recursion on membership of the top
+generator, an independent per-entry route to the same values.
 Projective and whole-category dimensions are computed by two independent
 routes each (weighted Cartan rows against a multiplicative recursion, and
 a summed total against a closed form) which must agree exactly.
@@ -56,24 +58,29 @@ def _check_index(m: int) -> int:
     return m // 2
 
 
-def _doubling(m: int, base: tuple[int, int], odd_blocks, previous) -> np.ndarray:
+def _doubling(m: int, base: tuple[int, int], odd_blocks) -> np.ndarray:
     """Read-only ``int64`` matrix at chain index ``m`` by the doubling step.
 
-    ``base`` holds the 1x1 matrices at indices 0 and 1 and ``previous(k)``
-    returns the matrix at index ``k``.  Even indices are
-    ``diag(M(m-1), M(m-2))``; at odd indices ``odd_blocks(A, B)`` returns
-    the 2x2 block layout built from ``A = M(m-2)`` and ``B = M(m-3)``.
-    The two halves are the subsets without and with the top generator.
+    ``base`` holds the 1x1 matrices at indices 0 and 1.  The step walks
+    level by level on the pair ``A = M(2j-1)``, ``B = M(2j-2)``: then
+    ``M(2j) = diag(A, B)`` and ``odd_blocks(A, B)`` returns the 2x2 block
+    layout of ``M(2j+1)``.  The two halves are the subsets without and with
+    the top generator.  Only the last level builds the index asked for, so
+    no matrix below the pair is held.
     """
     _check_index(m)
+
+    def diag(a, b):
+        zero = np.zeros_like(a)
+        return np.block([[a, zero], [zero, b]])
+
     if m < 2:
         out = np.array([[base[m]]], dtype=np.int64)
-    elif m % 2 == 0:
-        a, b = previous(m - 1), previous(m - 2)
-        zero = np.zeros_like(a)
-        out = np.block([[a, zero], [zero, b]])
     else:
-        out = np.block(odd_blocks(previous(m - 2), previous(m - 3)))
+        a, b = (np.array([[v]], dtype=np.int64) for v in (base[1], base[0]))
+        for _ in range(1, m // 2):
+            a, b = np.block(odd_blocks(a, b)), diag(a, b)
+        out = np.block(odd_blocks(a, b)) if m % 2 else diag(a, b)
     out.setflags(write=False)
     return out
 
@@ -85,9 +92,9 @@ def cartan(m: int) -> np.ndarray:
     Base cases ``[1]`` and ``[2]``; even indices are the block diagonal of
     the two previous matrices; odd indices ``2n+1`` are
     ``[[2A, A], [A, 2B]]`` with ``A``, ``B`` the matrices at ``2n-1`` and
-    ``2n-2``.
+    ``2n-2``.  The cache holds one entry per index asked for.
     """
-    return _doubling(m, (1, 2), lambda a, b: [[2 * a, a], [a, 2 * b]], cartan)
+    return _doubling(m, (1, 2), lambda a, b: [[2 * a, a], [a, 2 * b]])
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +111,7 @@ def ext1_matrix(m: int) -> np.ndarray:
         eye = np.identity(a.shape[0], dtype=np.int64)
         return [[a, eye], [eye, b]]
 
-    return _doubling(m, (0, 1), odd_blocks, ext1_matrix)
+    return _doubling(m, (0, 1), odd_blocks)
 
 
 def _check_masks(m: int, smask: int, tmask: int) -> int:

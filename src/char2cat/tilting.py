@@ -11,21 +11,26 @@ mismatch there is treated as a build-stopping failure.
 Decomposition into indecomposables is greedy peeling from the highest
 weight, which is well defined because each character has its highest
 weight with multiplicity one.  The quotient operation drops indices at or
-above a threshold.  Tensoring with the degree-1 module is unitriangular on
-indecomposables, so one row step of that table,
-``img(T_(t+1)) = x img(T_t) - sum_s k_s img(T_s)``, builds the image of each
-indecomposable in any ring where the degree-1 class goes to ``x``: the
-integer polynomials in the degree-1 class, and each level-``n`` fusion ring
-with ``x`` its top generator.
+above a threshold.
+
+In the split Grothendieck ring each indecomposable class is an integer
+polynomial in the degree-1 class ``x``.  ``in_T1_polynomial`` reads it off
+the binary digits of the index by the same tensor product theorem the
+characters follow (S. Donkin, "On tilting modules for algebraic groups",
+Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and ``T(2k+2) = T(2) T(k)^[1]``,
+with ``T(1) = x``, ``T(2) = x**2`` and the Frobenius twist ``x -> x**2 - 2``.
+Tensoring with the degree-1 module is unitriangular on indecomposables, so
+one row step of that table, ``img(T_(t+1)) = x img(T_t) - sum_s k_s
+img(T_s)``, builds the images in each level-``n`` fusion ring with ``x`` its
+top generator (``functor_images``).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import IntPoly
+from .cyclotomic import IntPoly, _compose_square_minus_two
 from .errors import NotTiltingCharacter
 from .fusion import FusionElt, fusion_elt, simple_elt, unit
 
@@ -183,7 +188,6 @@ def tilt_char(m: int) -> WeightChar:
     return char_mul(tilt_char(2), twist_char(tilt_char((m - 2) // 2)))
 
 
-@lru_cache(maxsize=None)
 def simple_char(m: int) -> WeightChar:
     """Character of the simple with highest weight ``m``: the convolution
     of weight-doubled degree-1 characters over the binary digits of ``m``."""
@@ -280,39 +284,17 @@ def tensor_power_decompose(r: int) -> TiltSum:
     return decompose(acc)
 
 
-def _tensor_v_step(t: int, imgs: list, x):
-    """Image of index ``t + 1`` from the images of ``0..t``: the
-    tensor-by-degree-1 row ``T_t V = T_(t+1) + sum_s k_s T_s`` solved for
-    its leading summand, with the degree-1 class sent to ``x``."""
-    row = tilt_tensor_v(t).as_dict()
-    if row.pop(t + 1, 0) != 1:
-        raise NotTiltingCharacter(
-            f"tensor-by-degree-1 row at index {t} is not unitriangular"
-        )
-    nxt = x * imgs[t]
-    for s, k in row.items():
-        nxt = nxt - imgs[s] * k
-    return nxt
-
-
-_g_cache: list[IntPoly] = [IntPoly((1,)), IntPoly((0, 1))]
-_g_lock = threading.Lock()
-
-
 def in_T1_polynomial(m: int) -> IntPoly:
     """The degree-``m`` integer polynomial expressing the ``m``-th
     indecomposable class in terms of the degree-1 class in the split
-    Grothendieck ring: the tensor-by-degree-1 row step with ``x`` the
-    polynomial ``x``."""
+    Grothendieck ring, by Donkin's digits: ``g_0 = 1``,
+    ``g_(2k+1) = x g_k(x**2 - 2)`` and ``g_(2k+2) = x**2 g_k(x**2 - 2)``."""
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    if m < len(_g_cache):  # existing entries never change; append is atomic
-        return _g_cache[m]
-    x = IntPoly((0, 1))
-    with _g_lock:
-        while len(_g_cache) <= m:
-            _g_cache.append(_tensor_v_step(len(_g_cache) - 1, _g_cache, x))
-    return _g_cache[m]
+    if m == 0:
+        return IntPoly((1,))
+    twisted = _compose_square_minus_two(in_T1_polynomial((m - 1) // 2).coeffs)
+    return IntPoly((0,) * (2 - m % 2) + twisted)
 
 
 def quotient_reduce(ts: TiltSum, n: int) -> TiltSum:
@@ -334,7 +316,16 @@ def functor_images(m: int, n: int) -> list[FusionElt]:
     x = simple_elt(n, 1 << (n - 1)) if n else zero
     imgs = [unit(n)]
     for t in range(m):
-        imgs.append(_tensor_v_step(t, imgs, x))
+        # T_t V = T_(t+1) + sum_s k_s T_s, solved for its leading summand
+        row = tilt_tensor_v(t).as_dict()
+        if row.pop(t + 1, 0) != 1:
+            raise NotTiltingCharacter(
+                f"tensor-by-degree-1 row at index {t} is not unitriangular"
+            )
+        nxt = x * imgs[t]
+        for s, k in row.items():
+            nxt = nxt - imgs[s] * k
+        imgs.append(nxt)
     return imgs
 
 

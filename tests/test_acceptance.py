@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+import char2cat
 import conftest
 import golden
 from char2cat.chebyshev import cheb_q, eval_poly
@@ -55,20 +56,6 @@ from char2cat.tilting import (
 )
 
 _CRITERIA = []
-
-
-def _clear_package_caches():
-    """Empty every cache in the package, so a timed run starts cold and
-    leaves nothing resident."""
-    from char2cat import chebyshev, cyclotomic, fusion, homology, invariants, tilting
-
-    for mod in (chebyshev, cyclotomic, fusion, homology, invariants, tilting):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    # list caches grown from their two seed entries
-    del chebyshev._q_cache[2:]
-    del tilting._g_cache[2:]
 
 
 def criterion(name):
@@ -281,7 +268,7 @@ def test_criterion_9_ring_cap():
 
     from char2cat import cli
 
-    _clear_package_caches()
+    char2cat.clear_caches()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "cap.json"
         t0 = time.perf_counter()
@@ -302,7 +289,7 @@ def test_criterion_9_ring_cap():
 @criterion("10 Cartan, Ext1 and blocks at CATEGORY_INDEX_CAP=25 cold, <8s")
 def test_criterion_10_homology_cap():
     m = CATEGORY_INDEX_CAP
-    _clear_package_caches()
+    char2cat.clear_caches()
     try:
         t0 = time.perf_counter()
         car, ext = cartan(m), ext1_matrix(m)
@@ -318,7 +305,7 @@ def test_criterion_10_homology_cap():
         assert len(block_components(m - 1)) == 13
         elapsed = time.perf_counter() - t0
     finally:
-        _clear_package_caches()
+        char2cat.clear_caches()
     assert elapsed < 8.0, f"took {elapsed:.1f}s"
 
 
@@ -349,7 +336,7 @@ def test_criterion_12_verify_cap():
 
     from char2cat import checks, cli
 
-    _clear_package_caches()
+    char2cat.clear_caches()
     try:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "verify.json"
@@ -359,7 +346,7 @@ def test_criterion_12_verify_cap():
             elapsed = time.perf_counter() - t0
             payload = cli.parse_json(out.read_text())
     finally:
-        _clear_package_caches()
+        char2cat.clear_caches()
     assert code == 0
     assert len(payload["checks"]) == len(checks.CHECKS)
     assert all(c["pass"] for c in payload["checks"])
@@ -396,10 +383,10 @@ def _report_checks(path):
 
 
 def _cli_in_child(argv):
-    """Run ``argv`` (JSON output) through ``cli.run`` in a fresh interpreter,
-    so every cache starts cold and the peak RSS is the command's own.
-    Returns the exit code, the seconds inside ``cli.run``, the peak RSS in
-    MB and the report's checks."""
+    """Run ``argv`` through ``cli.run`` in a fresh interpreter, so every
+    cache starts cold and the peak RSS is the command's own.  Returns the
+    exit code, the seconds inside ``cli.run``, the peak RSS in MB and the
+    report's checks (``None`` unless the output is JSON)."""
     import os
     import subprocess
     import tempfile
@@ -415,7 +402,9 @@ def _cli_in_child(argv):
             capture_output=True, text=True, env=env, check=True,
         )
         code, elapsed, peak_kb = proc.stdout.split()
-        return int(code), float(elapsed), int(peak_kb) / 1024, _report_checks(out)
+        is_json = "--format" not in argv or argv[argv.index("--format") + 1] == "json"
+        report_checks = _report_checks(out) if is_json else None
+        return int(code), float(elapsed), int(peak_kb) / 1024, report_checks
 
 
 @criterion("13 cartan --index 25 <25s, <1.5GB and fusion --level 8 <10s, <600MB "
@@ -460,6 +449,29 @@ def test_criterion_14_tilt_at_caps():
         assert all(c["pass"] for c in report_checks), argv
         assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
         assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
+
+
+# ----------------------------------------------------------------------
+# 15. the Ext1 table at its cap, printed through the CLI in every format
+
+
+@criterion("15 ext1 --index 25 json <25s, <1.5GB, csv <12s, <900MB, text <20s, <1.4GB "
+           "cold via cli.run")
+def test_criterion_15_ext1_at_cap():
+    for fmt, budget_s, budget_mb in (
+        ("json", 25.0, 1500), ("csv", 12.0, 900), ("text", 20.0, 1400),
+    ):
+        argv = ["ext1", "--index", str(CATEGORY_INDEX_CAP), "--format", fmt]
+        code, elapsed, rss_mb, report_checks = _cli_in_child(argv)
+        # csv and text carry no checks: exit code 0 means every check passed
+        assert code == 0, fmt
+        if fmt == "json":
+            assert [c["name"] for c in report_checks] == [
+                "symmetric", "entries-are-zero-or-one", "component-count",
+            ]
+            assert all(c["pass"] for c in report_checks)
+        assert elapsed < budget_s, f"{fmt}: took {elapsed:.1f}s"
+        assert rss_mb < budget_mb, f"{fmt}: peak RSS {rss_mb:.0f} MB"
 
 
 def main() -> int:

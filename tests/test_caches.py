@@ -1,0 +1,53 @@
+"""The cache policy: every cache in the package is an ``lru_cache`` that
+``char2cat.clear_caches()`` empties, and no module keeps state of its own."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import char2cat
+from char2cat.cli import run
+
+
+def _package_modules():
+    for info in pkgutil.iter_modules(char2cat.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            yield importlib.import_module(f"char2cat.{info.name}")
+
+
+def _lru_caches():
+    return {
+        f"{mod.__name__}.{name}": obj
+        for mod in _package_modules()
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info")
+    }
+
+
+def test_clear_caches_empties_every_lru_cache(tmp_path):
+    assert run(["verify", "--max-level", "3", "--out", str(tmp_path / "v.json")]) == 0
+    caches = _lru_caches()
+    assert {"char2cat.homology.cartan", "char2cat.tilting.tilt_char"} <= set(caches)
+    assert any(fn.cache_info().currsize for fn in caches.values())
+    char2cat.clear_caches()
+    filled = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert {name: size for name, size in filled.items() if size} == {}
+
+
+def _imported_roots(path):
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_threading_or_holds_a_list():
+    for mod in _package_modules():
+        assert "threading" not in _imported_roots(Path(mod.__file__)), mod.__name__
+        lists = [name for name, obj in vars(mod).items()
+                 if isinstance(obj, list) and name != "__all__"]
+        assert lists == [], mod.__name__

@@ -23,9 +23,14 @@ def test_first_polynomials_match_hand_recurrence():
 
 
 def test_three_term_recurrence():
+    # cheb_q is built from the closed form, so the recurrence checks it; 511
+    # is the largest index chebyshev/annihilation reads
     x = IntPoly((0, 1))
-    for m in range(1, 40):
-        assert cheb_q(m + 1) == x * cheb_q(m) - cheb_q(m - 1)
+    prev, cur = cheb_q(0), cheb_q(1)
+    for m in range(1, 511):
+        nxt = cheb_q(m + 1)
+        assert nxt == x * cur - prev, m
+        prev, cur = cur, nxt
 
 
 def test_degree_and_leading_coefficient():

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import char2cat
 import char2cat.cli as cli
-from char2cat import checks, cyclotomic, fusion, homology, invariants, tilting
+from char2cat import checks, cyclotomic, fusion, homology, tilting
 from char2cat.cli import parse_json, run
 
 # one invocation of every mode of every subcommand
@@ -287,6 +287,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["result"]["matrix"] == [[4, 2], [2, 2]]
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, ["cartan", "--index", "3", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"char2cat: error: cannot write --out {target}: ")
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # exit codes
 
@@ -348,6 +356,15 @@ def test_negative_invariants_order_is_a_usage_error(capsys, route):
         capsys, ["invariants", "--level", "1", "--max-m", "-1", "--route", route]
     )
     assert code == 2 and out == "" and "--max-m must be nonnegative" in err
+
+
+@pytest.mark.parametrize("route", ["recursion", "paths", "series", "all"])
+def test_negative_invariants_level_is_a_usage_error(capsys, route):
+    code, out, err = _run(
+        capsys, ["invariants", "--level", "-2", "--max-m", "3", "--route", route]
+    )
+    assert code == 2 and out == ""
+    assert err == "char2cat: error: --level must be nonnegative, got -2\n"
 
 
 def test_inconsistent_tensor_table_exits_one(monkeypatch, capsys):
@@ -453,17 +470,10 @@ def test_crashing_check_reports_failure(monkeypatch, capsys):
 # verification suite
 
 
-def _clear_caches():
-    for mod in (cyclotomic, fusion, homology, invariants, tilting):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def test_verify_passes_and_is_byte_deterministic(capsys):
-    _clear_caches()
+    char2cat.clear_caches()
     code1, out1, _ = _run(capsys, ["verify", "--max-level", "2"])
-    _clear_caches()
+    char2cat.clear_caches()
     code2, out2, _ = _run(capsys, ["verify", "--max-level", "2"])
     assert code1 == code2 == 0
     assert out1 == out2

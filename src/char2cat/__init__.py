@@ -66,6 +66,7 @@ from .homology import (
     proj_fpdim,
 )
 from .invariants import (
+    INVARIANTS_LEVEL_CAP,
     SERIES_ORDER_CAP,
     PowerSeries,
     d_recursive,
@@ -76,11 +77,11 @@ from .invariants import (
     verlinde_qdim,
 )
 from .tilting import (
-    FUNCTOR_LEVEL_CAP,
     TILT_INDEX_CAP,
     TiltSum,
     WeightChar,
     decompose,
+    digit_images,
     functor_images,
     functor_to_fusion,
     in_T1_polynomial,
@@ -88,6 +89,7 @@ from .tilting import (
     simple_char,
     steinberg_dim,
     tensor_power_decompose,
+    tensor_v_rows,
     tilt_char,
     tilt_tensor_v,
     twist_char,

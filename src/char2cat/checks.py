@@ -187,10 +187,13 @@ def chebyshev_annihilation(max_level):
 
 
 def tilting_triangular(max_level):
-    for m in range(41):
-        if tilting.tilt_tensor_v(m).as_dict().get(m + 1) != 1:
+    for m, row in enumerate(tilting.tensor_v_rows(40)):
+        by_chars = tilting.decompose(
+            tilting.char_mul(tilting.tilt_char(m), tilting.weyl_char(1))
+        )
+        if row != by_chars.as_dict() or row.get(m + 1) != 1:
             return False, f"index {m}"
-    return True, "tensor-by-degree-1 is unitriangular, indices 0..40"
+    return True, "digit rows equal the character route and are unitriangular, indices 0..40"
 
 
 def tilting_g_polys(max_level):
@@ -202,6 +205,9 @@ def tilting_g_polys(max_level):
 
 def tilting_functor_multiplicative(max_level):
     n = min(max_level, 4)
+    for lev in range(n + 1):
+        if tilting.digit_images(range(41), lev) != tilting.functor_images(40, lev):
+            return False, f"digit images differ from the row step at level {lev}"
     for a in range(0, 15, 2):
         for b in range(1, 15, 3):
             prod = tilting.decompose(
@@ -214,7 +220,8 @@ def tilting_functor_multiplicative(max_level):
             )
             if lhs != rhs:
                 return False, f"indices {a},{b} at level {n}"
-    return True, f"sampled index pairs at level {n}"
+    return True, (f"digit images equal the row step at indices 0..40, levels 0..{n}; "
+                  f"multiplicative on sampled index pairs at level {n}")
 
 
 def invariants_triple(max_level):

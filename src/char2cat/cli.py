@@ -477,18 +477,16 @@ def _cmd_tilt(args) -> tuple:
         cyclotomic.check_level(args.max_m, tilting.TILT_INDEX_CAP, "tilt index",
                                cap_name="TILT_INDEX_CAP")
     if args.functor is not None:
-        cyclotomic.check_level(args.functor, tilting.FUNCTOR_LEVEL_CAP, "functor level",
-                               cap_name="FUNCTOR_LEVEL_CAP")
+        cyclotomic.check_level(args.functor, what="functor level")
     if args.table:
         rows = []
         lead_ok = True
-        for m in range(args.max_m + 1):
-            ts = tilting.tilt_tensor_v(m)
+        for m, row in enumerate(tilting.tensor_v_rows(args.max_m)):
             rows.append({
                 "m": m,
-                "summands": [{"index": i, "mult": k} for i, k in ts.entries],
+                "summands": [{"index": i, "mult": row[i]} for i in sorted(row, reverse=True)],
             })
-            lead_ok = lead_ok and ts.as_dict().get(m + 1) == 1
+            lead_ok = lead_ok and row.get(m + 1) == 1
         rep = Report("tilt", {"max_m": args.max_m, "table": True},
                      {"max_m": args.max_m, "rows": rows})
         rep.add_check(
@@ -511,12 +509,12 @@ def _cmd_tilt(args) -> tuple:
         return rep, _text_decompose, None
     n = args.functor
     top = (1 << (n + 1)) - 1
-    imgs = tilting.functor_images(max(args.max_m, top), n)
+    imgs = tilting.digit_images([*range(args.max_m + 1), top], n)
     rows = [{"m": m, "image": _elt_payload(imgs[m])} for m in range(args.max_m + 1)]
     rep = Report("tilt", {"max_m": args.max_m, "functor": n},
                  {"level": n, "max_m": args.max_m, "rows": rows})
     rep.add_check(
-        "kills-first-index-above-quotient", imgs[top].is_zero,
+        "kills-first-index-above-quotient", imgs[-1].is_zero,
         f"index {top} maps to zero at level {n}",
     )
     return rep, _text_functor, None
@@ -528,6 +526,10 @@ def _cmd_invariants(args) -> tuple:
         raise ValueError(f"--level must be nonnegative, got {n}")
     if top < 0:
         raise ValueError(f"--max-m must be nonnegative, got {top}")
+    cyclotomic.check_level(n, invariants.INVARIANTS_LEVEL_CAP, "invariants level",
+                           cap_name="INVARIANTS_LEVEL_CAP")
+    cyclotomic.check_level(top, invariants.SERIES_ORDER_CAP, "--max-m",
+                           cap_name="SERIES_ORDER_CAP")
     routes = ["recursion", "paths", "series"] if args.route == "all" else [args.route]
     columns = {"recursion": [], "paths": [], "series": []}
     if "recursion" in routes:

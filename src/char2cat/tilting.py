@@ -8,21 +8,35 @@ convolved with weight-doubled smaller ones); the test-suite validates the
 recursion against independently tabulated composition-factor data, and a
 mismatch there is treated as a build-stopping failure.
 
-Decomposition into indecomposables is greedy peeling from the highest
-weight, which is well defined because each character has its highest
-weight with multiplicity one.  The quotient operation drops indices at or
-above a threshold.
+Every output route reads the binary digits of the index through Donkin's
+tensor product theorem for p = 2 (S. Donkin, "On tilting modules for
+algebraic groups", Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and
+``T(2k+2) = T(2) T(k)^[1]``.
 
-In the split Grothendieck ring each indecomposable class is an integer
-polynomial in the degree-1 class ``x``.  ``in_T1_polynomial`` reads it off
-the binary digits of the index by the same tensor product theorem the
-characters follow (S. Donkin, "On tilting modules for algebraic groups",
-Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and ``T(2k+2) = T(2) T(k)^[1]``,
-with ``T(1) = x``, ``T(2) = x**2`` and the Frobenius twist ``x -> x**2 - 2``.
-Tensoring with the degree-1 module is unitriangular on indecomposables, so
-one row step of that table, ``img(T_(t+1)) = x img(T_t) - sum_s k_s
-img(T_s)``, builds the images in each level-``n`` fusion ring with ``x`` its
-top generator (``functor_images``).
+- ``tensor_v_rows``: from ``T(1)^2 = T(2)`` and ``T(2) T(1) = T(3) +
+  2 T(1)``, the tensor-by-degree-1 row of ``2k+1`` is ``T(2k+2)`` and the
+  row of ``2k+2`` is the row of ``k`` with each index ``j`` sent to
+  ``2j+1``, plus ``2 T(2k+1)``.  ``tilt_tensor_v`` and
+  ``tensor_power_decompose`` read these rows.
+- ``TiltSum.dim``: ``dim T(2k+1) = 2 dim T(k)`` and ``dim T(2k+2) = 4 dim
+  T(k)``.
+- ``in_T1_polynomial``: in the split Grothendieck ring each class is an
+  integer polynomial in the degree-1 class ``x``, with ``T(1) = x``,
+  ``T(2) = x**2`` and the Frobenius twist ``x -> x**2 - 2``.
+- ``digit_images``: the images in the level-``n`` fusion ring, ``T(2k+1)
+  -> x_n img_(n-1)(T(k))`` and ``T(2k+2) -> (2 + x_(n-1)) img_(n-1)(T(k))``,
+  with ``x_n`` the top generator (zero at level 0) and the level-``n-1``
+  ring included in the level-``n`` one.  ``functor_to_fusion`` reads them.
+
+Two routes are kept as checks on these.  The character route convolves
+characters (``char_mul``) and peels them greedily from the highest weight
+(``decompose``), which is well defined because each character has its
+highest weight with multiplicity one; it checks the rows.  Tensoring with
+the degree-1 module is unitriangular on indecomposables, so the row step
+``img(T_(t+1)) = x img(T_t) - sum_s k_s img(T_s)`` over the rows builds
+the images independently of the digits (``functor_images``); it checks
+the digit images.  The quotient operation drops indices at or above a
+threshold.
 """
 
 from __future__ import annotations
@@ -30,12 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import IntPoly, _compose_square_minus_two
+from .cyclotomic import IntPoly, _compose_square_minus_two, check_level
 from .errors import NotTiltingCharacter
 from .fusion import FusionElt, fusion_elt, simple_elt, unit
 
 __all__ = [
-    "FUNCTOR_LEVEL_CAP",
     "TILT_INDEX_CAP",
     "WeightChar",
     "TiltSum",
@@ -45,21 +58,19 @@ __all__ = [
     "tilt_char",
     "simple_char",
     "decompose",
+    "tensor_v_rows",
     "tilt_tensor_v",
     "tensor_power_decompose",
     "in_T1_polynomial",
     "quotient_reduce",
     "functor_images",
+    "digit_images",
     "functor_to_fusion",
     "steinberg_dim",
 ]
 
-#: Largest fusion level the functor images are taken at.  Level 10 needs
-#: the images of indices 0..2047 and takes seconds; level 11 needs twice
-#: as many and takes over twice as long.
-FUNCTOR_LEVEL_CAP = 10
-#: Largest index, or tensor power, the tilting tables accept: ``2**11 - 1``,
-#: the index the level-10 functor check reads.
+#: Largest index, or tensor power, the tilting tables accept: ``2**11 - 1``.
+#: It bounds the output; the functor level is bounded by the ring level cap.
 TILT_INDEX_CAP = 2047
 
 
@@ -240,7 +251,17 @@ class TiltSum:
         return acc
 
     def dim(self) -> int:
-        return sum(k * tilt_char(m).dim() for m, k in self.entries)
+        return sum(k * _tilt_dim(m) for m, k in self.entries)
+
+
+def _tilt_dim(m: int) -> int:
+    """``dim T(m)`` from the digits: ``dim T(2k+1) = 2 dim T(k)`` and
+    ``dim T(2k+2) = 4 dim T(k)``."""
+    d = 1
+    while m:
+        d <<= 1 if m % 2 else 2
+        m = (m - 1) // 2
+    return d
 
 
 def decompose(c: WeightChar) -> TiltSum:
@@ -268,20 +289,44 @@ def decompose(c: WeightChar) -> TiltSum:
     return TiltSum.from_dict(out)
 
 
+def tensor_v_rows(m: int) -> list[dict[int, int]]:
+    """Rows ``0..m`` of the tensor-by-degree-1 table, each an index ->
+    multiplicity dict, by Donkin's digits: row ``0`` is ``{1: 1}``, row
+    ``2k+1`` is ``{2k+2: 1}``, and row ``2k+2`` sends each ``(j, c)`` of
+    row ``k`` to ``(2j+1, c)`` and adds ``2`` at ``2k+1``."""
+    if m < 0:
+        raise ValueError(f"index must be nonnegative, got {m}")
+    rows = [{1: 1}]
+    for t in range(1, m + 1):
+        if t % 2:
+            rows.append({t + 1: 1})
+        else:
+            row = {2 * j + 1: c for j, c in rows[t // 2 - 1].items()}
+            row[t - 1] = 2
+            rows.append(row)
+    return rows
+
+
 def tilt_tensor_v(m: int) -> TiltSum:
     """Decomposition of (indecomposable ``m``) tensor (degree-1 module)."""
-    return decompose(char_mul(tilt_char(m), weyl_char(1)))
+    return TiltSum.from_dict(tensor_v_rows(m)[m])
 
 
 def tensor_power_decompose(r: int) -> TiltSum:
-    """Decomposition of the ``r``-th tensor power of the degree-1 module."""
+    """Decomposition of the ``r``-th tensor power of the degree-1 module:
+    the multiplicities of ``V^0 = T(0)`` pushed ``r`` times through the
+    tensor-by-degree-1 rows."""
     if r < 0:
         raise ValueError(f"tensor power must be nonnegative, got {r}")
-    acc = weyl_char(0)
-    v = weyl_char(1)
+    rows = tensor_v_rows(r)
+    acc = {0: 1}
     for _ in range(r):
-        acc = char_mul(acc, v)
-    return decompose(acc)
+        nxt: dict[int, int] = {}
+        for j, c in acc.items():
+            for i, k in rows[j].items():
+                nxt[i] = nxt.get(i, 0) + c * k
+        acc = nxt
+    return TiltSum.from_dict(acc)
 
 
 def in_T1_polynomial(m: int) -> IntPoly:
@@ -307,17 +352,18 @@ def quotient_reduce(ts: TiltSum, n: int) -> TiltSum:
 
 def functor_images(m: int, n: int) -> list[FusionElt]:
     """Images of the indecomposables ``0..m`` in the level-``n`` fusion
-    ring: index 0 goes to the unit, and each further index follows by the
-    tensor-by-degree-1 row step with ``x`` the top generator (zero at
-    level 0)."""
+    ring by the row step: index 0 goes to the unit, and each further index
+    follows from a tensor-by-degree-1 row with ``x`` the top generator
+    (zero at level 0).  The check route for ``digit_images``."""
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
     zero = fusion_elt(n, {})
     x = simple_elt(n, 1 << (n - 1)) if n else zero
     imgs = [unit(n)]
+    rows = tensor_v_rows(m)
     for t in range(m):
         # T_t V = T_(t+1) + sum_s k_s T_s, solved for its leading summand
-        row = tilt_tensor_v(t).as_dict()
+        row = dict(rows[t])
         if row.pop(t + 1, 0) != 1:
             raise NotTiltingCharacter(
                 f"tensor-by-degree-1 row at index {t} is not unitriangular"
@@ -329,13 +375,50 @@ def functor_images(m: int, n: int) -> list[FusionElt]:
     return imgs
 
 
+def digit_images(indices, n: int) -> list[FusionElt]:
+    """Images of the indecomposables ``indices`` in the level-``n`` fusion
+    ring, by Donkin's digits: ``T(0)`` goes to the unit, every other index
+    to zero at level 0, and at level ``n >= 1``
+
+    - ``T(2k+1) -> x_n i(img_(n-1)(T(k)))``,
+    - ``T(2k+2) -> (2 + x_(n-1)) i(img_(n-1)(T(k)))``,
+
+    where ``x_j`` is generator ``j`` (``x_0 = 0``) and ``i`` keeps each mask
+    and raises the level by one.  The masks of ``i(.)`` omit ``n``, so
+    ``x_n`` adjoins it.  The images met on the way are kept for this call
+    only."""
+    check_level(n)
+    memo: dict[tuple[int, int], FusionElt] = {}
+
+    def image(lev: int, m: int) -> FusionElt:
+        key = (lev, m)
+        if key not in memo:
+            if m < 0:
+                raise ValueError(f"index must be nonnegative, got {m}")
+            if m == 0:
+                memo[key] = unit(lev)
+            elif lev == 0:
+                memo[key] = fusion_elt(0, {})
+            else:
+                inner = FusionElt(lev, image(lev - 1, (m - 1) // 2).coeffs)
+                if m % 2:
+                    top = 1 << (lev - 1)
+                    memo[key] = FusionElt(lev, tuple((s | top, c) for s, c in inner.coeffs))
+                elif lev == 1:
+                    memo[key] = inner * 2
+                else:
+                    memo[key] = inner * 2 + simple_elt(lev, 1 << (lev - 2)) * inner
+        return memo[key]
+
+    return [image(n, m) for m in indices]
+
+
 def functor_to_fusion(ts: TiltSum, n: int) -> FusionElt:
     """Class-level image in the level-``n`` fusion ring: the
-    multiplicity-weighted sum of ``functor_images`` up to the largest index
-    in ``ts``."""
+    multiplicity-weighted sum of the ``digit_images`` of the indices in
+    ``ts``."""
     acc = fusion_elt(n, {})
-    if ts.entries:
-        imgs = functor_images(ts.entries[0][0], n)
-        for m, k in ts.entries:
-            acc = acc + imgs[m] * k
+    imgs = digit_images([m for m, _ in ts.entries], n)
+    for (_, k), img in zip(ts.entries, imgs):
+        acc = acc + img * k
     return acc

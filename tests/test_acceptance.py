@@ -360,13 +360,13 @@ def test_criterion_12_verify_cap():
 # exec, the peak of the process that started the child, here the test run.
 _CAP_CHILD = """
 import sys, time
-from char2cat import cli
+from char2cat import cli, tilting
 t0 = time.perf_counter()
 code = cli.run(sys.argv[2:] + ["--out", sys.argv[1]])
 elapsed = time.perf_counter() - t0
 with open("/proc/self/status") as fh:
     peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(code, elapsed, peak_kb)
+print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize)
 """
 
 
@@ -385,8 +385,9 @@ def _report_checks(path):
 def _cli_in_child(argv):
     """Run ``argv`` through ``cli.run`` in a fresh interpreter, so every
     cache starts cold and the peak RSS is the command's own.  Returns the
-    exit code, the seconds inside ``cli.run``, the peak RSS in MB and the
-    report's checks (``None`` unless the output is JSON)."""
+    exit code, the seconds inside ``cli.run``, the peak RSS in MB, the
+    report's checks (``None`` unless the output is JSON) and the number of
+    tilting characters left in the ``tilt_char`` cache."""
     import os
     import subprocess
     import tempfile
@@ -401,10 +402,10 @@ def _cli_in_child(argv):
             [sys.executable, "-c", _CAP_CHILD, str(out), *argv],
             capture_output=True, text=True, env=env, check=True,
         )
-        code, elapsed, peak_kb = proc.stdout.split()
+        code, elapsed, peak_kb, tilt_chars = proc.stdout.split()
         is_json = "--format" not in argv or argv[argv.index("--format") + 1] == "json"
         report_checks = _report_checks(out) if is_json else None
-        return int(code), float(elapsed), int(peak_kb) / 1024, report_checks
+        return int(code), float(elapsed), int(peak_kb) / 1024, report_checks, int(tilt_chars)
 
 
 @criterion("13 cartan --index 25 <25s, <1.5GB and fusion --level 8 <10s, <600MB "
@@ -419,7 +420,7 @@ def test_criterion_13_tables_at_caps():
          ["nonzero-coefficients-are-powers-of-two", "iteration-matches-level-recursion"],
          10.0, 600),
     ):
-        code, elapsed, rss_mb, report_checks = _cli_in_child(argv)
+        code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
         assert code == 0, argv
         assert [c["name"] for c in report_checks] == names, argv
         assert all(c["pass"] for c in report_checks), argv
@@ -431,24 +432,27 @@ def test_criterion_13_tables_at_caps():
 # 14. the tilt commands at their caps, printed through the CLI
 
 
-@criterion("14 tilt --functor 10 --max-m 2047 <15s, <1.7GB, --table --max-m 2047 <7s, "
-           "--decompose 2047 <6s (json) cold via cli.run")
+@criterion("14 tilt --functor 12 --max-m 2047 <20s, <1.7GB, --table --max-m 2047 <0.25s, "
+           "<170MB, --decompose 2047 <5s, <160MB (json) cold via cli.run, no tilt_char cached")
 def test_criterion_14_tilt_at_caps():
-    from char2cat.tilting import FUNCTOR_LEVEL_CAP, TILT_INDEX_CAP
+    from char2cat.cyclotomic import RING_LEVEL_CAP
+    from char2cat.tilting import TILT_INDEX_CAP
 
     index = str(TILT_INDEX_CAP)
     for argv, names, budget_s, budget_mb in (
-        (["tilt", "--functor", str(FUNCTOR_LEVEL_CAP), "--max-m", index],
-         ["kills-first-index-above-quotient"], 15.0, 1700),
-        (["tilt", "--table", "--max-m", index], ["top-summand-multiplicity-one"], 7.0, 650),
-        (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 6.0, 450),
+        (["tilt", "--functor", str(RING_LEVEL_CAP), "--max-m", index],
+         ["kills-first-index-above-quotient"], 20.0, 1700),
+        (["tilt", "--table", "--max-m", index], ["top-summand-multiplicity-one"], 0.25, 170),
+        (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 5.0, 160),
     ):
-        code, elapsed, rss_mb, report_checks = _cli_in_child(argv)
+        code, elapsed, rss_mb, report_checks, tilt_chars = _cli_in_child(argv)
         assert code == 0, argv
         assert [c["name"] for c in report_checks] == names, argv
         assert all(c["pass"] for c in report_checks), argv
         assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
         assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
+        # the output routes read Donkin's digits, not the characters
+        assert tilt_chars == 0, argv
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +466,7 @@ def test_criterion_15_ext1_at_cap():
         ("json", 25.0, 1500), ("csv", 12.0, 900), ("text", 20.0, 1400),
     ):
         argv = ["ext1", "--index", str(CATEGORY_INDEX_CAP), "--format", fmt]
-        code, elapsed, rss_mb, report_checks = _cli_in_child(argv)
+        code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
         # csv and text carry no checks: exit code 0 means every check passed
         assert code == 0, fmt
         if fmt == "json":
@@ -472,6 +476,25 @@ def test_criterion_15_ext1_at_cap():
             assert all(c["pass"] for c in report_checks)
         assert elapsed < budget_s, f"{fmt}: took {elapsed:.1f}s"
         assert rss_mb < budget_mb, f"{fmt}: peak RSS {rss_mb:.0f} MB"
+
+
+# ----------------------------------------------------------------------
+# 16. the invariant counts at their caps, every route
+
+
+@criterion("16 invariants --level 8 (INVARIANTS_LEVEL_CAP) --max-m 256 (SERIES_ORDER_CAP) "
+           "--route all cold via cli.run, <12s, <150MB")
+def test_criterion_16_invariants_at_caps():
+    from char2cat.invariants import INVARIANTS_LEVEL_CAP, SERIES_ORDER_CAP
+
+    argv = ["invariants", "--level", str(INVARIANTS_LEVEL_CAP),
+            "--max-m", str(SERIES_ORDER_CAP), "--route", "all"]
+    code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
+    assert code == 0
+    assert [c["name"] for c in report_checks] == ["routes-agree"]
+    assert all(c["pass"] for c in report_checks)
+    assert elapsed < 12.0, f"took {elapsed:.1f}s"
+    assert rss_mb < 150, f"peak RSS {rss_mb:.0f} MB"
 
 
 def main() -> int:

@@ -16,8 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 import char2cat
 import char2cat.cli as cli
-from char2cat import checks, cyclotomic, fusion, homology, tilting
+from char2cat import checks, cyclotomic, fusion, homology, invariants, tilting
 from char2cat.cli import parse_json, run
+from char2cat.errors import NotIntegral
 
 # one invocation of every mode of every subcommand
 MODES = {
@@ -326,21 +327,26 @@ def test_cap_violations_name_the_cap(capsys):
     assert code == 2 and "STRUCTURE_LEVEL_CAP" in err
     code, _, err = _run(capsys, ["minpoly", "--level", "40"])
     assert code == 2 and "RING_LEVEL_CAP" in err
-    code, _, err = _run(
-        capsys, ["invariants", "--level", "1", "--max-m", "400"]
-    )
-    assert code == 2 and "SERIES_ORDER_CAP" in err
+    over_order = str(invariants.SERIES_ORDER_CAP + 1)
+    over_inv_level = str(invariants.INVARIANTS_LEVEL_CAP + 1)
+    for route in ("recursion", "paths", "series", "all"):
+        for argv, name in (
+            (["--level", "1", "--max-m", over_order], "SERIES_ORDER_CAP"),
+            (["--level", over_inv_level, "--max-m", "1"], "INVARIANTS_LEVEL_CAP"),
+        ):
+            code, out, err = _run(capsys, ["invariants", *argv, "--route", route])
+            assert code == 2 and name in err and out == "", (route, argv)
     code, _, err = _run(capsys, ["verify", "--max-level", "9"])
     assert code == 2 and "VERIFY_LEVEL_CAP" in err
     code, _, err = _run(capsys, ["verify", "--max-level", "-1"])
     assert code == 2 and "verify level" in err
     over_index = str(tilting.TILT_INDEX_CAP + 1)
-    over_level = str(tilting.FUNCTOR_LEVEL_CAP + 1)
+    over_level = str(cyclotomic.RING_LEVEL_CAP + 1)
     for argv, name in (
         (["tilt", "--table", "--max-m", over_index], "TILT_INDEX_CAP"),
         (["tilt", "--decompose", over_index], "TILT_INDEX_CAP"),
         (["tilt", "--functor", "2", "--max-m", over_index], "TILT_INDEX_CAP"),
-        (["tilt", "--functor", over_level, "--max-m", "1"], "FUNCTOR_LEVEL_CAP"),
+        (["tilt", "--functor", over_level, "--max-m", "1"], "RING_LEVEL_CAP"),
         (["tilt", "--table", "--max-m", "-3"], "tilt index"),
         (["tilt", "--decompose", "-1"], "tensor power"),
         (["tilt", "--functor", "3", "--max-m", "-1"], "tilt index"),
@@ -368,17 +374,30 @@ def test_negative_invariants_level_is_a_usage_error(capsys, route):
 
 
 def test_inconsistent_tensor_table_exits_one(monkeypatch, capsys):
-    def no_leading_summand(m, route=tilting.tilt_tensor_v):
-        return tilting.TiltSum.from_dict(
-            {i: k for i, k in route(m).entries if i != m + 1}
-        )
+    def no_leading_summand(m, route=tilting.tensor_v_rows):
+        return [{i: k for i, k in row.items() if i != t + 1}
+                for t, row in enumerate(route(m))]
 
-    monkeypatch.setattr(tilting, "tilt_tensor_v", no_leading_summand)
+    monkeypatch.setattr(tilting, "tensor_v_rows", no_leading_summand)
     code, out, _ = _run(capsys, ["tilt", "--table", "--max-m", "5", "--format", "text"])
     assert code == 1 and "[FAIL] top-summand-multiplicity-one" in out
-    code, out, err = _run(capsys, ["tilt", "--functor", "3", "--max-m", "5"])
+    code, out, _ = _run(capsys, ["tilt", "--decompose", "5", "--format", "text"])
+    assert code == 1 and "[FAIL] total-dimension-is-2^r" in out
+    # the row step the digit images are checked against stops on such a row
+    code, out, _ = _run(capsys, ["verify", "--max-level", "1", "--format", "text"])
+    assert code == 1 and "[FAIL] tilting/tensor-triangular" in out
+    assert "[FAIL] tilting/functor-multiplicative - raised NotTiltingCharacter" in out
+    assert "not unitriangular" in out
+
+
+def test_internal_inconsistency_exits_one(monkeypatch, capsys):
+    def not_integral(*args, **kwargs):
+        raise NotIntegral("forced")
+
+    monkeypatch.setattr(fusion, "exact_matmul", not_integral)
+    code, out, err = _run(capsys, ["fusion", "--level", "2"])
     assert code == 1 and out == ""
-    assert "internal error" in err and "not unitriangular" in err
+    assert err == "char2cat: internal error: forced\n"
 
 
 def _perturbed_recursion(n, route=fusion._structure_from_recursion):

@@ -17,6 +17,7 @@ from char2cat.tilting import (
     WeightChar,
     char_mul,
     decompose,
+    digit_images,
     functor_images,
     functor_to_fusion,
     in_T1_polynomial,
@@ -24,6 +25,7 @@ from char2cat.tilting import (
     simple_char,
     steinberg_dim,
     tensor_power_decompose,
+    tensor_v_rows,
     tilt_char,
     tilt_tensor_v,
     twist_char,
@@ -151,6 +153,34 @@ def test_tensor_by_v_golden_table():
         assert tilt_tensor_v(m).as_dict() == want, m
 
 
+def test_digit_rows_equal_the_character_route():
+    rows = tensor_v_rows(511)
+    assert len(rows) == 512
+    try:
+        for t, row in enumerate(rows):
+            assert row == decompose(char_mul(tilt_char(t), weyl_char(1))).as_dict(), t
+    finally:
+        tilt_char.cache_clear()
+
+
+def test_tensor_powers_equal_the_character_route():
+    acc, v = weyl_char(0), weyl_char(1)
+    try:
+        for r in range(257):
+            assert tensor_power_decompose(r) == decompose(acc), r
+            acc = char_mul(acc, v)
+    finally:
+        tilt_char.cache_clear()
+
+
+def test_digit_dimensions_equal_the_characters():
+    try:
+        for m in range(1024):
+            assert TiltSum.from_dict({m: 1}).dim() == tilt_char(m).dim(), m
+    finally:
+        tilt_char.cache_clear()
+
+
 def test_tensor_power_dimensions():
     for r in range(13):
         ts = tensor_power_decompose(r)
@@ -221,33 +251,6 @@ def test_functor_is_multiplicative_on_products():
             assert lhs == rhs, (a, b)
 
 
-def test_in_t1_polynomial_thread_safe_from_cold_cache():
-    # regression: concurrent first use in a fresh interpreter gives the
-    # same polynomials as later serial calls
-    import subprocess
-    import sys
-
-    script = (
-        "import threading\n"
-        "from char2cat.tilting import in_T1_polynomial\n"
-        "results = {}\n"
-        "def work(seed):\n"
-        "    results[seed] = [in_T1_polynomial(m).coeffs for m in range(seed, 60, 7)]\n"
-        "threads = [threading.Thread(target=work, args=(s,)) for s in range(7)]\n"
-        "[t.start() for t in threads]\n"
-        "[t.join() for t in threads]\n"
-        "for seed, vals in results.items():\n"
-        "    for m, got in zip(range(seed, 60, 7), vals):\n"
-        "        assert got == in_T1_polynomial(m).coeffs, m\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
 def test_functor_sends_generator_to_generator():
     for n in range(1, 6):
         img = functor_to_fusion(TiltSum.from_dict({1: 1}), n)
@@ -255,6 +258,31 @@ def test_functor_sends_generator_to_generator():
     # at level 0 the degree-1 module maps to zero
     assert functor_to_fusion(TiltSum.from_dict({1: 1}), 0).is_zero
     assert functor_to_fusion(TiltSum.from_dict({0: 1}), 0) == fusion_elt(0, {0: 1})
+
+
+def test_digit_images_equal_the_row_step():
+    # every index up to the first one the level-n functor kills, n <= 8
+    for n in range(9):
+        top = (1 << (n + 1)) - 1
+        assert digit_images(range(top + 1), n) == functor_images(top, n), n
+    # and beyond it at small levels
+    for n in range(4):
+        assert digit_images(range(61), n) == functor_images(60, n), n
+
+
+def test_digit_images_of_any_index_order():
+    imgs = functor_images(40, 4)
+    picks = [40, 0, 17, 17, 3]
+    assert digit_images(picks, 4) == [imgs[m] for m in picks]
+    assert digit_images([], 4) == []
+    with pytest.raises(ValueError):
+        digit_images([3, -1], 4)
+
+
+def test_rows_reject_a_negative_index():
+    with pytest.raises(ValueError):
+        tensor_v_rows(-1)
+    assert tensor_v_rows(0) == [{1: 1}]
 
 
 def _top_generator(n):

@@ -16,12 +16,10 @@ from .chebyshev import cheb_q, eval_poly, split_signs
 from .cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
-    CycRat,
     IntPoly,
     conjugate_floats,
     d_basis_element,
     delta_float,
-    divide_exact,
     embed,
     eval_min_poly_at_matrix,
     min_poly,

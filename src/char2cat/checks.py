@@ -14,7 +14,8 @@ import numpy as np
 from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
 
 __all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "symmetric", "nonzero_powers_of_two",
-           "dickson_coeffs", "min_poly_matches_dickson", "expected_component_count"]
+           "dickson_coeffs", "min_poly_matches_dickson",
+           "total_dimension_matches_closed_form", "expected_component_count"]
 
 #: Largest ``max_level`` the suite accepts.  The suite passes at it in
 #: seconds; level 9 takes about four times as long, and from level 13 on
@@ -57,6 +58,26 @@ def min_poly_matches_dickson(n: int) -> bool:
     composition tower, equals the closed form D_(2^n): delta_n = z + 1/z
     with z^(2^n) = i, so D_(2^n)(delta_n) = i + 1/i = 0."""
     return cyclotomic.min_poly(n).coeffs == dickson_coeffs(1 << n)
+
+
+def total_dimension_matches_closed_form(m: int, q: cyclotomic.CycInt) -> bool:
+    """``q`` is the paper's closed form 2^k / (2 - delta_(n-1)) for the
+    total dimension at chain index ``m``, tested without dividing:
+    ``q * (2 - delta_(n-1)) == 2^k`` at level ``m // 2``.
+
+    At even ``m``, n = m/2 and k = n + 2; at odd ``m``, n = (m+1)/2 and
+    k = n + 1; the generator at level -1 counts as -2, so at ``m = 0`` the
+    denominator is 4.  The ring has no zero divisors, so one product pins
+    ``q`` down exactly.
+    """
+    level = m // 2
+    n = (m + 1) // 2
+    if n == 0:
+        den = cyclotomic.CycInt.from_int(4, level)
+    else:
+        den = 2 - cyclotomic.embed(cyclotomic.CycInt.delta(n - 1), level)
+    power = cyclotomic.CycInt.from_int(1 << (n + 2 - m % 2), level)
+    return q.level == level and q * den == power
 
 
 def expected_component_count(m: int) -> int:
@@ -271,9 +292,11 @@ def homology_ext_stabilizes(max_level):
 
 def homology_dim_routes(max_level):
     for m in range(2 * max_level + 2):
-        if (homology._category_fpdim_from_projectives(m)
-                != homology._category_fpdim_closed_form(m)):
-            return False, f"total dimension at index {m}"
+        total = homology.category_fpdim(m)
+        if total != homology._category_fpdim_from_projectives(m):
+            return False, f"total dimension at index {m}: recursion and matrix sum differ"
+        if not total_dimension_matches_closed_form(m, total):
+            return False, f"total dimension at index {m}: closed form fails"
         for smask in range(1 << (m // 2)):
             if (homology._proj_fpdim_cartan(m, smask)
                     != homology._proj_fpdim_recursive(m, smask)):
@@ -282,13 +305,10 @@ def homology_dim_routes(max_level):
 
 
 def homology_doubling(max_level):
-    # homology/dimension-routes compares both routes at these indices
     for n in range(1, max_level + 1):
-        even = homology._category_fpdim_closed_form(2 * n)
-        odd = homology._category_fpdim_closed_form(2 * n - 1)
-        lhs = even.num * odd.den
-        rhs = cyclotomic.embed(odd.num, even.level) * (2 * even.den)
-        if lhs != rhs:
+        even = homology.category_fpdim(2 * n)
+        odd = homology.category_fpdim(2 * n - 1)
+        if even != 2 * cyclotomic.embed(odd, even.level):
             return False, f"index pair {2 * n - 1},{2 * n}"
     return True, "each even index doubles the preceding odd one"
 

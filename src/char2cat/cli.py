@@ -193,16 +193,14 @@ def _v_label(mask: int) -> str:
     return f"V_{mask}"
 
 
-def _subset_payload(level: int, mask: int) -> dict:
-    return {"index": mask, "subset": list(fusion.SimpleIndex(level, mask).subset)}
+# the masks reaching the two payload builders were validated by a FusionElt
+def _subset_payload(mask: int) -> dict:
+    return {"index": mask, "subset": fusion.mask_subset(mask)}
 
 
 def _elt_payload(elt: fusion.FusionElt) -> list:
-    return [
-        {"index": mask, "subset": list(fusion.SimpleIndex(elt.level, mask).subset),
-         "coeff": c}
-        for mask, c in elt.coeffs
-    ]
+    return [{"index": mask, "subset": fusion.mask_subset(mask), "coeff": c}
+            for mask, c in elt.coeffs]
 
 
 def _cyc_payload(e: cyclotomic.CycInt) -> dict:
@@ -340,8 +338,8 @@ def _cmd_fusion(args) -> tuple:
             {"level": n, "left": args.left, "right": args.right},
             {
                 "level": n,
-                "left": _subset_payload(n, args.left),
-                "right": _subset_payload(n, args.right),
+                "left": _subset_payload(args.left),
+                "right": _subset_payload(args.right),
                 "product": _elt_payload(prod),
             },
         )
@@ -365,7 +363,7 @@ def _cmd_fusion(args) -> tuple:
         {"level": n},
         {
             "level": n,
-            "simples": [_subset_payload(n, m) for m in range(1 << n)],
+            "simples": [_subset_payload(m) for m in range(1 << n)],
             "nonzero": Records(("left", "right", "out", "coeff"),
                                np.column_stack([nz, tensor[tuple(nz.T)]])),
         },
@@ -420,7 +418,7 @@ def _cmd_fpdim(args) -> tuple:
         rep = Report(
             "fpdim",
             {"level": n, "simple": args.simple},
-            {"level": n, "simple": _subset_payload(n, args.simple),
+            {"level": n, "simple": _subset_payload(args.simple),
              **_cyc_payload(val)},
         )
         conj = cyclotomic.conjugate_floats(val)
@@ -432,21 +430,21 @@ def _cmd_fpdim(args) -> tuple:
         return rep, _text_fields, None
     if args.category:
         m = args.level  # with --category the value is the chain index
-        val = homology._category_fpdim_from_projectives(m)
-        closed = homology._category_fpdim_closed_form(m)
+        val = homology.category_fpdim(m)
         rep = Report(
             "fpdim",
             {"level": m, "category": True},
             {
                 "index": m,
                 "ring_level": val.level,
-                "numerator_power_coeffs": list(val.num.coeffs),
-                "denominator": val.den,
+                "numerator_power_coeffs": list(val.coeffs),
+                "denominator": 1,  # total dimensions are algebraic integers
                 "float": val.to_float(),
             },
         )
         rep.add_check(
-            "projective-sum-matches-closed-form", val == closed,
+            "projective-sum-matches-closed-form",
+            checks.total_dimension_matches_closed_form(m, val),
             "the projective sum and the closed form compared exactly",
         )
         return rep, _text_fields, None

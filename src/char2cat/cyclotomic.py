@@ -24,6 +24,11 @@ The power basis 1, delta_n, ..., delta_n^(2^n - 1) appears only at the
 edges: the ``CycInt(level, power_coeffs)`` constructor, the ``coeffs``
 accessor used for output, and the minimal polynomials.  Both basis changes
 are triangular and exact over Z.
+
+There is no division: every value the package computes is an algebraic
+integer, and a quotient it predicts (the closed form of a total dimension)
+is checked by multiplying it out, which is exact because O_n has no zero
+divisors.
 """
 
 from __future__ import annotations
@@ -480,93 +485,6 @@ def to_d_basis(e: CycInt) -> list[int]:
     if redo != vec:
         raise NotIntegral(f"d-basis solve failed to reproduce the input at level {n}")
     return out
-
-
-# ----------------------------------------------------------------------
-# rationals and exact division
-
-
-@dataclass(frozen=True)
-class CycRat:
-    """Quotient of a ring element by a positive integer, content-reduced.
-
-    The content is the gcd of the cosine coordinates; the basis change to
-    power coordinates is unimodular, so it is the same gcd there.
-    """
-
-    num: CycInt
-    den: int
-
-    @classmethod
-    def make(cls, num: CycInt, den: int = 1) -> "CycRat":
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = den
-        for v in num.cos:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            num = CycInt.from_cos(num.level, tuple(v // g for v in num.cos))
-            den //= g
-        return cls(num, den)
-
-    @classmethod
-    def from_int(cls, c: int, level: int) -> "CycRat":
-        return cls.make(CycInt.from_int(c, level))
-
-    @property
-    def level(self) -> int:
-        return self.num.level
-
-    def __eq__(self, other):
-        if isinstance(other, CycInt):
-            other = CycRat.make(other)
-        if not isinstance(other, CycRat):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycRat.make(self.num * other, self.den)
-        if isinstance(other, CycRat):
-            return CycRat.make(self.num * other.num, self.den * other.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def to_float(self) -> float:
-        return self.num.to_float() / self.den
-
-    def __repr__(self):
-        return f"CycRat({self.num!r} / {self.den})"
-
-
-def divide_exact(a: CycInt, b: CycInt) -> CycRat:
-    """a/b as a CycRat, via the norm down the tower O_n > O_(n-1) > ... > Z.
-
-    The automorphism sigma: delta_k -> -delta_k of O_k over O_(k-1) negates
-    the odd cosine coordinates, and x*sigma(x) is sigma-fixed, so its even
-    coordinates are an element of O_(k-1).  Multiplying numerator and
-    denominator by sigma(x) at each level turns the denominator into the
-    integer norm of b after n steps; everything stays exact.
-    """
-    a._require_same_level(b)
-    num, den = a, b
-    while den.level:
-        conj = CycInt.from_cos(
-            den.level, tuple(-v if r % 2 else v for r, v in enumerate(den.cos))
-        )
-        num = num * embed(conj, a.level)
-        norm = (den * conj).cos
-        if any(norm[1::2]):
-            raise NotIntegral("relative norm has odd cosine coordinates")
-        den = CycInt.from_cos(den.level - 1, norm[::2])
-    if den.cos[0] == 0:
-        raise ZeroDivisionError("division by zero ring element")
-    return CycRat.make(num, den.cos[0])
 
 
 # ----------------------------------------------------------------------

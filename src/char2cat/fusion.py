@@ -36,6 +36,7 @@ from .errors import GeneratorOutOfRange, LevelMismatch
 __all__ = [
     "STRUCTURE_LEVEL_CAP",
     "SimpleIndex",
+    "mask_subset",
     "FusionElt",
     "fusion_elt",
     "simple_elt",
@@ -65,7 +66,12 @@ class SimpleIndex:
 
     @property
     def subset(self) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.level + 1) if self.mask >> (j - 1) & 1)
+        return tuple(mask_subset(self.mask))
+
+
+def mask_subset(mask: int) -> list[int]:
+    """The sorted subset of ``{1..n}`` encoded by a validated bitmask."""
+    return [j + 1 for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 @dataclass(frozen=True)
@@ -189,8 +195,11 @@ def gen_mul(i: int, mask: int, n: int) -> FusionElt:
 
 
 def product(a: FusionElt, b: FusionElt) -> FusionElt:
-    """Ring product, computed by iterating the single-generator rule."""
+    """Ring product, computed by iterating the single-generator rule over
+    the terms of the factor with fewer terms (the ring is commutative)."""
     a._require_same_level(b)
+    if len(a.coeffs) > len(b.coeffs):
+        a, b = b, a
     n = a.level
     out: dict[int, int] = {}
     for smask, sc in a.coeffs:

@@ -10,9 +10,15 @@ on the pair of the two previous matrices and keeps nothing below it, so
 the cache holds one matrix per index asked for.  Single extension
 dimensions also follow a five-case recursion on membership of the top
 generator, an independent per-entry route to the same values.
-Projective and whole-category dimensions are computed by two independent
-routes each (weighted Cartan rows against a multiplicative recursion, and
-a summed total against a closed form) which must agree exactly.
+Projective dimensions come from a multiplicative recursion; the weighted
+Cartan row is the second route, compared in ``homology/dimension-routes``.
+Total dimensions are algebraic integers, computed without division along
+three routes: the value walks the Cartan doubling block by block
+(``category_fpdim``); the matrix sum ``D @ C.T`` ties the Cartan matrix
+itself to it in ``homology/dimension-routes``; and the paper's closed form
+``2^k / (2 - delta)`` is multiplied out by
+``checks.total_dimension_matches_closed_form`` in that check and in the
+``fpdim --category`` report.
 """
 
 from __future__ import annotations
@@ -24,14 +30,12 @@ import numpy as np
 from .cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
-    CycRat,
     check_level,
     d_basis_element,  # noqa: F401  unused; perfbench's alias-rebinding test reads it
     d_cos_matrix,
-    divide_exact,
     embed,
 )
-from .errors import Char2CatError, LevelTooLarge, SubsetOutOfRange
+from .errors import LevelTooLarge, SubsetOutOfRange
 
 __all__ = [
     "CATEGORY_INDEX_CAP",
@@ -184,25 +188,20 @@ def _proj_fpdim_recursive(m: int, smask: int) -> CycInt:
 
 
 def proj_fpdim(m: int, smask: int) -> CycInt:
-    """Dimension of the projective cover of a simple; both routes are
-    computed and must agree exactly."""
-    a = _proj_fpdim_cartan(m, smask)
-    b = _proj_fpdim_recursive(m, smask)
-    if a != b:
-        raise Char2CatError(
-            f"projective-dimension routes disagree at index {m}, mask {smask}; "
-            "this is an internal inconsistency"
-        )
-    return a
+    """Dimension of the projective cover of a simple, by the multiplicative
+    recursion; ``homology/dimension-routes`` compares it with the Cartan
+    row."""
+    return _proj_fpdim_recursive(m, smask)
 
 
-def _category_fpdim_from_projectives(m: int) -> CycRat:
+def _category_fpdim_from_projectives(m: int) -> CycInt:
     """Sum of simple dimension times projective-cover dimension.
 
     The projective dimensions are the Cartan-row weighted sums of simple
     dimensions, all at once: the columns of ``P = D @ C.T`` are their
     cosine coordinates, where the columns of ``D`` are those of the simple
-    dimensions ``d_S``.
+    dimensions ``d_S``.  This route ties the Cartan matrix itself to the
+    total dimension.
     """
     level = _check_index(m)
     d_cos = d_cos_matrix(level)
@@ -210,38 +209,33 @@ def _category_fpdim_from_projectives(m: int) -> CycRat:
     acc = CycInt.zero(level)
     for d_col, p_col in zip(d_cos.T.tolist(), proj.T.tolist()):
         acc = acc + CycInt.from_cos(level, d_col) * CycInt.from_cos(level, p_col)
-    return CycRat.make(acc)
+    return acc
 
 
-def _category_fpdim_closed_form(m: int) -> CycRat:
-    """Closed form: a power of two divided by (2 minus the ring generator
-    one level down), with the convention that the generator at level -1
-    is -2."""
-    level = _check_index(m)
-    if m % 2 == 0:
-        n = m // 2
-        num = 1 << (n + 2)
-    else:
-        n = (m + 1) // 2
-        num = 1 << (n + 1)
-    if n == 0:
-        den = CycInt.from_int(4, level)  # 2 - (-2)
-    else:
-        den = embed(CycInt.from_int(2, n - 1) - CycInt.delta(n - 1), level)
-    return divide_exact(CycInt.from_int(num, level), den)
+def category_fpdim(m: int) -> CycInt:
+    """Total dimension ``q(m) = d^T C(m) d`` of the chain member at index
+    ``m``, an element of the level-``m // 2`` ring.
 
-
-def category_fpdim(m: int) -> CycRat:
-    """Total dimension of the chain member at index ``m``; the projective
-    sum and the closed form are both computed and must agree exactly."""
-    a = _category_fpdim_from_projectives(m)
-    b = _category_fpdim_closed_form(m)
-    if a != b:
-        raise Char2CatError(
-            f"category-dimension routes disagree at index {m}; "
-            "this is an internal inconsistency"
-        )
-    return a
+    The sum is taken block by block along the doubling rule of ``cartan``,
+    with ``d`` split into the simples without and with the top generator
+    ``delta_n``, ``n = m // 2``, and ``q`` embedded into level ``n``:
+    ``diag(A, B)`` gives ``q(m) = q(m-1) + delta_n^2 q(m-2)`` at even ``m``,
+    and ``[[2A, A], [A, 2B]]`` gives
+    ``q(m) = 2(1 + delta_n) q(m-2) + 2 delta_n^2 q(m-3)`` at odd ``m``, from
+    ``q(0) = 1`` and ``q(1) = 2``.  One walk per call reads neither the
+    Cartan matrix nor the closed form.
+    """
+    _check_index(m)
+    q = [CycInt.one(0), CycInt.from_int(2, 0)]
+    for k in range(2, m + 1):
+        n = k // 2
+        delta = CycInt.delta(n)
+        sq = delta * delta
+        if k % 2 == 0:
+            q.append(embed(q[k - 1], n) + sq * embed(q[k - 2], n))
+        else:
+            q.append(2 * (1 + delta) * embed(q[k - 2], n) + 2 * sq * embed(q[k - 3], n))
+    return q[m]
 
 
 def algebra_fpdim(n: int) -> CycInt:

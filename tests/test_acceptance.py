@@ -150,8 +150,11 @@ def test_criterion_3_golden_tables():
 
 @criterion("4 dimension closed forms m<=13 exact, floats 1e-9 / 1e-12")
 def test_criterion_4_dimensions():
+    from char2cat.checks import total_dimension_matches_closed_form
+
     for m in range(14):
-        val = category_fpdim(m)  # internally checked against closed form
+        val = category_fpdim(m)
+        assert total_dimension_matches_closed_form(m, val), m
         if m % 2 == 0 and m > 0:
             n = m // 2
             want = (1 << n) / math.sin(math.pi / (1 << (n + 1))) ** 2
@@ -495,6 +498,25 @@ def test_criterion_16_invariants_at_caps():
     assert all(c["pass"] for c in report_checks)
     assert elapsed < 12.0, f"took {elapsed:.1f}s"
     assert rss_mb < 150, f"peak RSS {rss_mb:.0f} MB"
+
+
+# ----------------------------------------------------------------------
+# 17. the total dimension at its cap, printed through the CLI
+
+
+@criterion("17 fpdim --category --level 25 (CATEGORY_INDEX_CAP) json and text "
+           "cold via cli.run, <8s, <250MB")
+def test_criterion_17_total_dimension_at_cap():
+    for fmt in ("json", "text"):
+        argv = ["fpdim", "--category", "--level", str(CATEGORY_INDEX_CAP), "--format", fmt]
+        code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
+        # text carries no checks: exit code 0 means every check passed
+        assert code == 0, fmt
+        if fmt == "json":
+            assert [c["name"] for c in report_checks] == ["projective-sum-matches-closed-form"]
+            assert all(c["pass"] for c in report_checks)
+        assert elapsed < 8.0, f"{fmt}: took {elapsed:.1f}s"
+        assert rss_mb < 250, f"{fmt}: peak RSS {rss_mb:.0f} MB"
 
 
 def main() -> int:

@@ -409,8 +409,8 @@ def _perturbed_recursion(n, route=fusion._structure_from_recursion):
 @pytest.mark.parametrize("argv, module, name, fake, check", [
     (["fusion", "--level", "2"], fusion, "_structure_from_recursion",
      _perturbed_recursion, "iteration-matches-level-recursion"),
-    (["fpdim", "--level", "4", "--category"], homology, "_category_fpdim_closed_form",
-     lambda m, route=homology._category_fpdim_closed_form: route(m) * 2,
+    (["fpdim", "--level", "4", "--category"], homology, "category_fpdim",
+     lambda m, route=homology.category_fpdim: route(m) * 2,
      "projective-sum-matches-closed-form"),
     (["ext1", "--index", "4"], homology, "block_components",
      lambda m, route=homology.block_components: route(m) + ((),),
@@ -427,6 +427,18 @@ def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv, module,
     code, out, _ = _run(capsys, argv + ["--format", "text"])
     assert code == 1
     assert f"[FAIL] {check}" in out
+
+
+def test_total_dimension_checks_fail_on_a_perturbed_recursion(monkeypatch, capsys):
+    # +1 at even indices only: a x2 on every index would keep the doubling
+    def off_at_even(m, route=homology.category_fpdim):
+        return route(m) + 1 if m % 2 == 0 else route(m)
+
+    monkeypatch.setattr(homology, "category_fpdim", off_at_even)
+    code, out, _ = _run(capsys, ["verify", "--max-level", "2", "--format", "text"])
+    assert code == 1
+    assert "[FAIL] homology/dimension-routes" in out
+    assert "[FAIL] homology/category-doubling" in out
 
 
 def test_composition_check_fails_on_a_broken_tower(monkeypatch, capsys):

@@ -13,12 +13,10 @@ from char2cat import fusion
 from char2cat.cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
-    CycRat,
     IntPoly,
     conjugate_floats,
     d_basis_element,
     delta_float,
-    divide_exact,
     embed,
     eval_min_poly_at_matrix,
     exact_matmul,
@@ -386,46 +384,6 @@ def test_subset_validation():
         d_basis_element(1 << 3, 3)  # mask 8 needs level >= 4
     with pytest.raises(SubsetOutOfRange):
         d_basis_element(-1, 2)
-
-
-# ----------------------------------------------------------------------
-# rational layer and exact division
-
-
-def test_cycrat_normalization_and_equality():
-    half = CycRat.make(CycInt.from_int(2, 1), 4)
-    assert half == CycRat.make(CycInt.from_int(1, 1), 2)
-    assert CycRat.make(CycInt.delta(1) * 2, 2) == CycInt.delta(1)
-    assert CycRat.from_int(3, 2) == CycInt.from_int(3, 2)
-
-
-def test_divide_exact_recovers_quotients():
-    a = CycInt.delta(2)
-    q = divide_exact(a * a, a)
-    assert q == a
-    # 1 / delta_1 = delta_1 / 2
-    r = divide_exact(CycInt.one(1), CycInt.delta(1))
-    assert r == CycRat.make(CycInt.delta(1), 2)
-    assert r.to_float() == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(level=st.integers(min_value=0, max_value=5), data=st.data())
-def test_divide_exact_is_an_exact_reduced_quotient(level, data):
-    size = 1 << level
-    vec = st.lists(_COEFF, min_size=size, max_size=size)
-    a = _elt(level, data.draw(vec))
-    b = _elt(level, data.draw(vec))
-    assume(not b.is_zero())
-    q = divide_exact(a, b)
-    assert q.den > 0
-    assert q.num * b == a * q.den
-    assert math.gcd(q.den, *q.num.cos) == 1
-
-
-def test_divide_exact_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(CycInt.one(2), CycInt.zero(2))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from char2cat.cyclotomic import CycInt, CycRat, embed, to_d_basis
+from char2cat import checks
+from char2cat.cyclotomic import CycInt, embed, to_d_basis
 from char2cat.errors import LevelTooLarge, SubsetOutOfRange
 from char2cat.homology import (
     CATEGORY_INDEX_CAP,
@@ -147,9 +148,7 @@ def test_ext1_mask_validation():
 
 
 def test_proj_fpdim_matches_cartan_row_exactly():
-    # proj dimension = Cartan row paired with the basis dimensions; the
-    # library also checks this internally against the multiplicative
-    # recursion, so a plain call exercises both routes
+    # the multiplicative recursion, read in the d-basis, is the Cartan row
     for m in (4, 5, 6, 7):
         lev = m // 2
         for smask in range(1 << lev):
@@ -171,9 +170,9 @@ def test_proj_fpdim_top_class_is_its_own_projective():
 
 
 def test_category_fpdim_small_exact_values():
-    assert category_fpdim(0) == CycRat.from_int(1, 0)
-    assert category_fpdim(1) == CycRat.from_int(2, 0)
-    assert category_fpdim(2) == CycRat.from_int(4, 1)
+    assert category_fpdim(0) == CycInt.from_int(1, 0)
+    assert category_fpdim(1) == CycInt.from_int(2, 0)
+    assert category_fpdim(2) == CycInt.from_int(4, 1)
     # index 4: 16 / (2 - delta_1) rationalizes by hand to 8 (2 + delta_1),
     # which is 8 delta_2^2 by the defining relation
     assert category_fpdim(4) == 8 * CycInt.delta(2) ** 2
@@ -194,9 +193,7 @@ def test_category_fpdim_doubling():
     for n in range(1, 7):
         even = category_fpdim(2 * n)
         odd = category_fpdim(2 * n - 1)
-        lhs = even.num * odd.den
-        rhs = embed(odd.num, even.level) * (2 * even.den)
-        assert lhs == rhs
+        assert even == 2 * embed(odd, even.level)
 
 
 def test_category_fpdim_equals_sum_over_projectives():
@@ -207,7 +204,27 @@ def test_category_fpdim_equals_sum_over_projectives():
         total = CycInt.zero(lev)
         for smask in range(1 << lev):
             total = total + d_basis_element(smask, lev) * proj_fpdim(m, smask)
-        assert category_fpdim(m) == CycRat.make(total, 1)
+        assert category_fpdim(m) == total
+
+
+def test_total_dimension_routes_agree_where_each_runs():
+    # the recursion and the multiplied-out closed form up to the cap, the
+    # matrix sum D @ C.T up to index 17 (2 * VERIFY_LEVEL_CAP + 1)
+    from char2cat.homology import _category_fpdim_from_projectives
+
+    for m in range(CATEGORY_INDEX_CAP + 1):
+        q = category_fpdim(m)
+        assert q.level == m // 2, m
+        assert checks.total_dimension_matches_closed_form(m, q), m
+        if m <= 2 * checks.VERIFY_LEVEL_CAP + 1:
+            assert _category_fpdim_from_projectives(m) == q, m
+
+
+def test_closed_form_predicate_rejects_wrong_totals():
+    for m in (0, 1, 2, 5, 8, 13):
+        q = category_fpdim(m)
+        assert not checks.total_dimension_matches_closed_form(m, q * 2), m
+        assert not checks.total_dimension_matches_closed_form(m, q + 1), m
 
 
 def test_algebra_fpdim_values_and_identity():

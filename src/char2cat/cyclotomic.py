@@ -2,7 +2,8 @@
 
 The generator delta_n = 2cos(pi/2^(n+1)) is an algebraic integer of degree
 2^n; its minimal polynomial p_n is produced by iterating x -> x^2 - 2
-(p_0 = x, p_n = p_{n-1}(x^2 - 2)).
+(p_0 = x, p_n = p_{n-1}(x^2 - 2)), each step a Taylor shift of the
+bit-scaled coefficients whose big-integer work is additions only.
 
 An element of O_n is stored canonically in the "cosine basis"
 {1, c_1, ..., c_{2^n - 1}} with c_r = 2cos(r*pi/2^(n+1)), a Z-basis in which
@@ -135,31 +136,42 @@ X = IntPoly((0, 1))
 
 
 def _compose_square_minus_two(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of P(x^2 - 2) given those of P, by Horner in x^2 - 2.
+    """Coefficients of P(x^2 - 2) given those of P, by a scaled Taylor shift.
 
-    Each step multiplies the accumulator by x^2 - 2 (two shifted adds per
-    coefficient), keeping the big-integer work linear in the coefficient
-    size instead of expanding binomial powers.
+    P(x^2 - 2) = Q(x^2) with Q(y) = P(y - 2) = T(y/2), where T(t) = S(t - 1)
+    and S(t) = P(2t).  So coefficient j is shifted left by j bits, S is
+    shifted by -1 with a Horner loop (each step one object-vector
+    subtraction on two swapping buffers, as in ``_cos_to_power``), and
+    coefficient k of T is shifted right by k bits, which is exact because
+    T_k = 2^k Q_k.  Only additions and shifts touch the big integers
+    (von zur Gathen and Gerhard, ISSAC 1997).
     """
     if not coeffs:
         return ()
-    acc = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        out = [0] * (len(acc) + 2)
-        for i, v in enumerate(acc):
-            if v:
-                out[i + 2] += v
-                out[i] -= 2 * v
-        out[0] += c
-        acc = out
-    return tuple(acc)
+    size = len(coeffs)
+    top = size - 1
+    a = np.zeros(size + 1, dtype=object)  # T so far, coefficient of t^i at i
+    b = np.zeros(size + 1, dtype=object)
+    a[0] = coeffs[top] << top
+    for j in range(top - 1, -1, -1):
+        width = top - j  # the accumulator has this many coefficients
+        # a*(t - 1) + S_j: entry i becomes a[i-1] - a[i]
+        np.subtract(a[:width], a[1:width + 1], out=b[1:width + 1])
+        b[0] = (coeffs[j] << j) - a[0]
+        a, b = b, a
+    out = [0] * (2 * top + 1)
+    out[::2] = [t >> k for k, t in enumerate(a[:size].tolist())]
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RING_LEVEL_CAP + 1)
 def min_poly(n: int) -> IntPoly:
     """Minimal polynomial p_n of delta_n: p_0 = x, p_n = p_{n-1}(x^2 - 2).
 
     Monic of degree 2^n, irreducible, with roots 2cos((2r+1)pi/2^(n+1)).
+    Each step is the scaled Taylor shift of ``_compose_square_minus_two``;
+    ``check_level`` admits only levels 0..RING_LEVEL_CAP, so the cache
+    holds the whole tower and never evicts.
     """
     check_level(n)
     if n == 0:
@@ -380,12 +392,19 @@ class CycInt:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not integral")
-        out = CycInt.one(self.level)
+        if e == 0:
+            return CycInt.one(self.level)
+        # start from the lowest power of two in e, so x ** 2 is one product
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base if e > 1 else base
             e >>= 1
         return out
 

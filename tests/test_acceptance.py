@@ -519,6 +519,27 @@ def test_criterion_17_total_dimension_at_cap():
         assert rss_mb < 250, f"{fmt}: peak RSS {rss_mb:.0f} MB"
 
 
+# ----------------------------------------------------------------------
+# 18. the minimal polynomial at the ring cap, printed through the CLI
+
+
+@criterion("18 minpoly --level 12 (RING_LEVEL_CAP) json and text "
+           "cold via cli.run, <2.5s, <175MB")
+def test_criterion_18_min_poly_at_cap():
+    from char2cat.cyclotomic import RING_LEVEL_CAP
+
+    for fmt in ("json", "text"):
+        argv = ["minpoly", "--level", str(RING_LEVEL_CAP), "--format", fmt]
+        code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
+        # text carries no checks: exit code 0 means every check passed
+        assert code == 0, fmt
+        if fmt == "json":
+            assert [c["name"] for c in report_checks] == ["composition-step"]
+            assert all(c["pass"] for c in report_checks)
+        assert elapsed < 2.5, f"{fmt}: took {elapsed:.1f}s"
+        assert rss_mb < 175, f"{fmt}: peak RSS {rss_mb:.0f} MB"
+
+
 def main() -> int:
     failures = 0
     for fn in _CRITERIA:

@@ -35,6 +35,17 @@ def test_clear_caches_empties_every_lru_cache(tmp_path):
     assert {name: size for name, size in filled.items() if size} == {}
 
 
+def test_min_poly_cache_holds_the_whole_tower():
+    from char2cat.cyclotomic import RING_LEVEL_CAP, min_poly
+
+    # check_level admits exactly the levels 0..RING_LEVEL_CAP, so the
+    # bounded cache never evicts a level of the tower
+    assert min_poly.cache_info().maxsize == RING_LEVEL_CAP + 1
+    char2cat.clear_caches()
+    min_poly(RING_LEVEL_CAP)
+    assert min_poly.cache_info().currsize == RING_LEVEL_CAP + 1
+
+
 def _imported_roots(path):
     roots = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

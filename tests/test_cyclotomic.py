@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -13,7 +13,6 @@ from char2cat import fusion
 from char2cat.cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
-    IntPoly,
     conjugate_floats,
     d_basis_element,
     delta_float,
@@ -42,13 +41,11 @@ def test_min_poly_small_coefficients_match_hand_expansion():
 
 
 def test_min_poly_composition_tower():
-    # p_n(x) = p_{n-1}(x^2 - 2) up to the cap
-    from char2cat.cyclotomic import _compose_square_minus_two
+    # the x^2 - 2 tower equals the Dickson closed form D_(2^n) up to the cap
+    from char2cat.checks import dickson_coeffs
 
-    for n in range(1, RING_LEVEL_CAP + 1):
-        assert min_poly(n) == IntPoly(
-            _compose_square_minus_two(min_poly(n - 1).coeffs)
-        )
+    for n in range(RING_LEVEL_CAP + 1):
+        assert min_poly(n).coeffs == dickson_coeffs(1 << n), n
 
 
 def test_min_poly_is_monic_of_degree_2_to_the_n():
@@ -100,6 +97,56 @@ def test_compose_square_minus_two_matches_binomial_oracle():
     for _ in range(200):
         co = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 12)))
         assert _compose_square_minus_two(co) == binomial_compose(co)
+
+
+def _horner_compose(coeffs):
+    """Reference P(x^2 - 2): Horner in x^2 - 2, one multiplication of the
+    accumulator by x^2 - 2 (two shifted adds per coefficient) per step."""
+    if not coeffs:
+        return ()
+    acc = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = [0] * (len(acc) + 2)
+        for i, v in enumerate(acc):
+            if v:
+                out[i + 2] += v
+                out[i] -= 2 * v
+        out[0] += c
+        acc = out
+    return tuple(acc)
+
+
+_WIDE = st.integers(min_value=-(1 << 200), max_value=1 << 200)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(_WIDE, max_size=70),
+    zero_first=st.booleans(),
+    zero_last=st.booleans(),
+)
+@example(coeffs=[], zero_first=False, zero_last=False)
+@example(coeffs=[-(1 << 200)], zero_first=False, zero_last=False)
+@example(coeffs=[7], zero_first=True, zero_last=False)
+@example(coeffs=[1 << 200] * 70, zero_first=True, zero_last=True)
+def test_scaled_taylor_shift_matches_horner_composition(coeffs, zero_first, zero_last):
+    from char2cat.cyclotomic import _compose_square_minus_two
+
+    if coeffs and zero_first:
+        coeffs[0] = 0
+    if coeffs and zero_last:
+        coeffs[-1] = 0
+    got = _compose_square_minus_two(tuple(coeffs))
+    assert got == _horner_compose(tuple(coeffs))
+    assert all(type(v) is int for v in got)
+
+
+def test_scaled_taylor_shift_matches_horner_on_each_tower_step():
+    from char2cat.cyclotomic import _compose_square_minus_two
+
+    for n in range(11):
+        coeffs = min_poly(n).coeffs
+        assert _compose_square_minus_two(coeffs) == _horner_compose(coeffs), n
 
 
 def test_min_poly_float_root():
@@ -159,6 +206,34 @@ def test_ring_axioms(level, data):
     assert a - a == CycInt.zero(level)
     assert a * CycInt.one(level) == a
     assert 1 * a == a and a + 0 == a
+
+
+def test_power_matches_repeated_product():
+    rng = np.random.default_rng(11)
+    for level in range(6):
+        x = _elt(level, rng.integers(-3, 4, size=1 << level).tolist())
+        want = CycInt.one(level)
+        for e in range(10):
+            assert x ** e == want, (level, e)
+            want = want * x
+    with pytest.raises(ValueError):
+        CycInt.delta(2) ** -1
+
+
+def test_square_is_one_product(monkeypatch):
+    from char2cat import cyclotomic
+
+    calls = []
+
+    def counted(a, b, mul=cyclotomic._cos_mul):
+        calls.append(len(a))
+        return mul(a, b)
+
+    monkeypatch.setattr(cyclotomic, "_cos_mul", counted)
+    x = CycInt.delta(5)
+    assert x ** 2 == 2 + embed(CycInt.delta(4), 5)
+    assert len(calls) == 1
+    assert x ** 0 == CycInt.one(5) and len(calls) == 1
 
 
 def _power_basis_mul(a: CycInt, b: CycInt) -> CycInt:

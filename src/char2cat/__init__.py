@@ -5,9 +5,6 @@ rings, dimension values, tilting-character calculus, Cartan and
 first-extension data, and counting invariants attached to a doubling chain
 of tensor categories, and cross-verifies every quantity along at least two
 independent routes.
-
-Every cache in the package is a ``functools.lru_cache`` on values a command
-re-reads; ``clear_caches()`` empties them all.
 """
 
 import sys
@@ -61,15 +58,15 @@ from .homology import (
     category_fpdim,
     ext1_dim,
     ext1_matrix,
-    proj_fpdim,
+    proj_fpdims,
 )
 from .invariants import (
     INVARIANTS_LEVEL_CAP,
     SERIES_ORDER_CAP,
-    PowerSeries,
-    d_recursive,
+    closed_walks,
     hom_invariants_dim,
-    path_count,
+    paths_column,
+    recursion_column,
     series_f,
     verlinde_product,
     verlinde_qdim,
@@ -98,7 +95,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every ``lru_cache`` in the package's loaded modules."""
+    """Empty every cache in the package's loaded modules.
+
+    Every cache is a ``functools.lru_cache`` on values a command re-reads:
+    ``cyclotomic.min_poly`` holds the whole tower (``RING_LEVEL_CAP + 1``
+    levels), ``homology.cartan`` and ``homology.ext1_matrix`` the last index
+    asked for; ``fusion.gen_mul``, ``fusion.generator_matrix``,
+    ``tilting.tilt_char`` and ``cli.build_parser`` are unbounded, filled
+    only within the caps of the commands that read them."""
     for name, mod in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(mod).values():

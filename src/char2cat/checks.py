@@ -248,11 +248,9 @@ def tilting_functor_multiplicative(max_level):
 def invariants_triple(max_level):
     n_max = min(max_level, 4)
     for n in range(n_max + 1):
-        sf = invariants.series_f(n, 12)
-        for m in range(13):
-            a = invariants.d_recursive(m, n)
-            b = invariants.path_count((1 << (n + 1)) - 1, 2 * m)
-            if not (a == b == sf.coefficient(m)):
+        columns = [route(n, 12) for route in invariants.ROUTES.values()]
+        for m, values in enumerate(zip(*columns)):
+            if len(set(values)) != 1:
                 return False, f"(m, n) = ({m}, {n})"
     return True, f"three routes, levels 0..{n_max}, orders 0..12"
 
@@ -292,15 +290,15 @@ def homology_ext_stabilizes(max_level):
 
 def homology_dim_routes(max_level):
     for m in range(2 * max_level + 2):
+        by_cartan = homology._proj_fpdims_cartan(m)
+        for smask, (a, b) in enumerate(zip(homology.proj_fpdims(m), by_cartan)):
+            if a != b:
+                return False, f"projective dimension at index {m}, mask {smask}"
         total = homology.category_fpdim(m)
-        if total != homology._category_fpdim_from_projectives(m):
-            return False, f"total dimension at index {m}: recursion and matrix sum differ"
+        if total != homology._category_fpdim_from_projectives(by_cartan):
+            return False, f"total dimension at index {m}: recursion and projective sum differ"
         if not total_dimension_matches_closed_form(m, total):
             return False, f"total dimension at index {m}: closed form fails"
-        for smask in range(1 << (m // 2)):
-            if (homology._proj_fpdim_cartan(m, smask)
-                    != homology._proj_fpdim_recursive(m, smask)):
-                return False, f"projective dimension at index {m}, mask {smask}"
     return True, f"projective and total dimensions, indices 0..{2 * max_level + 1}"
 
 

@@ -528,17 +528,9 @@ def _cmd_invariants(args) -> tuple:
                            cap_name="INVARIANTS_LEVEL_CAP")
     cyclotomic.check_level(top, invariants.SERIES_ORDER_CAP, "--max-m",
                            cap_name="SERIES_ORDER_CAP")
-    routes = ["recursion", "paths", "series"] if args.route == "all" else [args.route]
-    columns = {"recursion": [], "paths": [], "series": []}
-    if "recursion" in routes:
-        columns["recursion"] = [invariants.d_recursive(m, n) for m in range(top + 1)]
-    if "paths" in routes:
-        columns["paths"] = [
-            invariants.path_count((1 << (n + 1)) - 1, 2 * m) for m in range(top + 1)
-        ]
-    if "series" in routes:
-        columns["series"] = list(invariants.series_f(n, top).coeffs)
-    rows = [[m] + [columns[r][m] for r in routes] for m in range(top + 1)]
+    routes = list(invariants.ROUTES) if args.route == "all" else [args.route]
+    columns = [invariants.ROUTES[r](n, top) for r in routes]
+    rows = [[m, *values] for m, values in enumerate(zip(*columns))]
     rep = Report(
         "invariants",
         {"level": n, "max_m": top, "route": args.route},
@@ -655,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="invariant dimensions by multiple routes")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--route", choices=("recursion", "paths", "series", "all"),
+    p.add_argument("--route", choices=(*invariants.ROUTES, "all"),
                    default="all")
 
     p = sub.add_parser("minpoly", parents=[common],

@@ -16,8 +16,8 @@ the odd-index coordinates, and numerical evaluation is a cosine sum.
 ``_cos_mul`` is the only product rule in the module.
 
 The distinguished basis d_S = prod_{j in S} delta_j (S a subset of {1..n},
-d_0 = 1) is the image of the simple objects.  One table, ``_d_cos_indices``,
-holds the cosine support of every d_S; ``to_d_basis`` is the only solve
+d_0 = 1) is the image of the simple objects.  One rule, ``_d_cos_indices``,
+gives the cosine support of every d_S; ``to_d_basis`` is the only solve
 into that basis, and the d-basis generator matrices of the fusion oracle
 are that solve applied to ring products.
 
@@ -251,7 +251,6 @@ def _cos_to_power(vec, n: int) -> list[int]:
     return out[:size].tolist()
 
 
-@lru_cache(maxsize=None)
 def _d_cos_indices(mask: int, n: int) -> tuple[int, ...]:
     """Cosine support of d_S = prod_{j in S} c_{2^(n-j)}, ascending.
 
@@ -260,7 +259,7 @@ def _d_cos_indices(mask: int, n: int) -> tuple[int, ...]:
     c_{r-a} gives one c-term for every sign pattern on the smaller
     exponents; all indices are positive, distinct, and at most 2^n - 1,
     and every coefficient is 1.  The last index is sum_{j in S} 2^(n-j),
-    which determines S.  This is the one table of d_S supports: the
+    which determines S.  This is the one rule for d_S supports: the
     element, the expansion matrix and the d-basis solve all read it.
     """
     vals = [0]
@@ -578,19 +577,16 @@ def eval_min_poly_at_matrix(n: int, mat: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# d-basis operators (used by the fusion oracle and the projective sum of
-# the category dimension)
+# d-basis operators (used by the fusion oracle and the Cartan route of the
+# projective dimensions)
 
 
-@lru_cache(maxsize=1)
 def d_cos_matrix(n: int) -> np.ndarray:
-    """Columns = cosine coordinates of d_S, S running over bitmasks; a
-    read-only array, cached for the last level asked for."""
+    """Columns = cosine coordinates of d_S, S running over bitmasks."""
     size = 1 << n
     mat = np.zeros((size, size), dtype=np.int64)
     for mask in range(size):
         mat[list(_d_cos_indices(mask, n)), mask] = 1
-    mat.setflags(write=False)
     return mat
 
 

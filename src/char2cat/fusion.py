@@ -168,30 +168,34 @@ def _segment_mask(a: int, b: int) -> int:
     return (1 << b) - (1 << (a - 1))
 
 
-@lru_cache(maxsize=None)
-def gen_mul(i: int, mask: int, n: int) -> FusionElt:
-    """Product of the ``i``-th generator class with the basis class ``mask``.
+def _gen_mul_terms(i: int, mask: int, n: int) -> list[tuple[int, int]]:
+    """The single-generator rule as ``(mask, coefficient)`` pairs, distinct
+    masks, unvalidated and uncached.
 
     Let ``k`` be the largest index ``<= i`` not in the subset.  The product
     is the class with ``k`` adjoined and ``[k+1, i]`` removed (dropped
     entirely when ``k = 0``), plus twice the classes with ``[k, i]``
     removed for each ``k`` in the gap.
     """
+    k = i
+    while k >= 1 and mask >> (k - 1) & 1:
+        k -= 1
+    out = []
+    if k > 0:
+        out.append(((mask & ~_segment_mask(k + 1, i)) | (1 << (k - 1)), 1))
+    for kk in range(k + 1, i + 1):
+        out.append((mask & ~_segment_mask(kk, i), 2))
+    return out
+
+
+@lru_cache(maxsize=None)
+def gen_mul(i: int, mask: int, n: int) -> FusionElt:
+    """Product of the ``i``-th generator class with the basis class ``mask``."""
     check_level(n)
     if not 1 <= i <= n:
         raise GeneratorOutOfRange(f"generator {i} outside 1..{n}")
     check_subset(mask, n)
-    k = i
-    while k >= 1 and mask >> (k - 1) & 1:
-        k -= 1
-    out: dict[int, int] = {}
-    if k > 0:
-        first = (mask & ~_segment_mask(k + 1, i)) | (1 << (k - 1))
-        out[first] = out.get(first, 0) + 1
-    for kk in range(k + 1, i + 1):
-        term = mask & ~_segment_mask(kk, i)
-        out[term] = out.get(term, 0) + 2
-    return fusion_elt(n, out)
+    return fusion_elt(n, dict(_gen_mul_terms(i, mask, n)))
 
 
 def product(a: FusionElt, b: FusionElt) -> FusionElt:

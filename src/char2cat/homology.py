@@ -6,16 +6,18 @@ bitmask order (subsets without the top generator first).  The Cartan and
 first-extension matrices are read-only ``int64`` arrays built by one
 doubling step: block diagonal at even indices, four blocks of the two
 previous matrices at odd ones.  Each call walks the chain level by level
-on the pair of the two previous matrices and keeps nothing below it, so
-the cache holds one matrix per index asked for.  Single extension
+on the pair of the two previous matrices and keeps nothing below it, and
+each cache holds the last index asked for.  Single extension
 dimensions also follow a five-case recursion on membership of the top
 generator, an independent per-entry route to the same values.
-Projective dimensions come from a multiplicative recursion; the weighted
-Cartan row is the second route, compared in ``homology/dimension-routes``.
+Projective dimensions come as whole columns, one per index: a
+multiplicative recursion walked once over the chain, and the weighted
+Cartan rows ``D @ C.T``, compared in ``homology/dimension-routes``.
 Total dimensions are algebraic integers, computed without division along
 three routes: the value walks the Cartan doubling block by block
-(``category_fpdim``); the matrix sum ``D @ C.T`` ties the Cartan matrix
-itself to it in ``homology/dimension-routes``; and the paper's closed form
+(``category_fpdim``); the sum of ``d_S`` times the Cartan route's
+projective dimensions ties the Cartan matrix itself to it in
+``homology/dimension-routes``; and the paper's closed form
 ``2^k / (2 - delta)`` is multiplied out by
 ``checks.total_dimension_matches_closed_form`` in that check and in the
 ``fpdim --category`` report.
@@ -31,7 +33,7 @@ from .cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
     check_level,
-    d_basis_element,  # noqa: F401  unused; perfbench's alias-rebinding test reads it
+    d_basis_element,
     d_cos_matrix,
     embed,
 )
@@ -42,7 +44,7 @@ __all__ = [
     "cartan",
     "ext1_dim",
     "ext1_matrix",
-    "proj_fpdim",
+    "proj_fpdims",
     "category_fpdim",
     "algebra_fpdim",
     "block_components",
@@ -89,19 +91,20 @@ def _doubling(m: int, base: tuple[int, int], odd_blocks) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def cartan(m: int) -> np.ndarray:
     """Cartan matrix at chain index ``m``, a read-only ``int64`` array.
 
     Base cases ``[1]`` and ``[2]``; even indices are the block diagonal of
     the two previous matrices; odd indices ``2n+1`` are
     ``[[2A, A], [A, 2B]]`` with ``A``, ``B`` the matrices at ``2n-1`` and
-    ``2n-2``.  The cache holds one entry per index asked for.
+    ``2n-2``.  The cache holds the last index asked for: every re-read
+    is of the same index, back to back.
     """
     return _doubling(m, (1, 2), lambda a, b: [[2 * a, a], [a, 2 * b]])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def ext1_matrix(m: int) -> np.ndarray:
     """First-extension dimensions over all simple pairs at chain index
     ``m``, a read-only ``int64`` array of zeros and ones.
@@ -161,54 +164,45 @@ def ext1_dim(m: int, smask: int, tmask: int) -> int:
     return ext1_dim(m - 1, smask, tmask)
 
 
-def _proj_fpdim_cartan(m: int, smask: int) -> CycInt:
-    """Dimension of a projective cover as the Cartan-row weighted sum of
-    simple dimensions: one column of ``D @ C.T`` (see
-    ``_category_fpdim_from_projectives``)."""
-    level = _check_masks(m, smask, smask)
-    return CycInt.from_cos(level, d_cos_matrix(level) @ cartan(m)[smask])
+def proj_fpdims(m: int) -> list[CycInt]:
+    """Dimensions of the projective covers of all simples at chain index
+    ``m``, in mask order, by the multiplicative recursion, walked once on
+    the columns at the two previous indices from ``P(0) = [1]``: at odd
+    ``k`` each entry is multiplied by ``2 + delta_n``, ``n = k // 2``; at
+    ``k = 2n`` a simple without ``n`` takes its entry at ``k - 1``, one with
+    ``n`` takes ``delta_n`` times the entry of ``S - {n}`` at ``k - 2``, both
+    embedded into level ``n``."""
+    _check_index(m)
+    before, col = [], [CycInt.one(0)]
+    for k in range(1, m + 1):
+        n = k // 2
+        delta = CycInt.delta(n)
+        if k % 2:
+            nxt = [(delta + 2) * p for p in col]
+        else:
+            nxt = [embed(p, n) for p in col] + [delta * embed(p, n) for p in before]
+        before, col = col, nxt
+    return col
 
 
-def _proj_fpdim_recursive(m: int, smask: int) -> CycInt:
-    """Same dimension by the multiplicative recursion: odd steps multiply
-    by (2 + top ring generator); even steps either descend directly or
-    split off one generator factor."""
-    _check_masks(m, smask, smask)
-    if m == 0:
-        return CycInt.one(0)
-    n = m // 2
-    if m % 2 == 1:
-        inner = _proj_fpdim_recursive(m - 1, smask)
-        return (CycInt.delta(n) + 2) * inner
-    bit = 1 << (n - 1)
-    if smask & bit:
-        inner = _proj_fpdim_recursive(m - 2, smask & ~bit)
-        return CycInt.delta(n) * embed(inner, n)
-    return embed(_proj_fpdim_recursive(m - 1, smask), n)
-
-
-def proj_fpdim(m: int, smask: int) -> CycInt:
-    """Dimension of the projective cover of a simple, by the multiplicative
-    recursion; ``homology/dimension-routes`` compares it with the Cartan
-    row."""
-    return _proj_fpdim_recursive(m, smask)
-
-
-def _category_fpdim_from_projectives(m: int) -> CycInt:
-    """Sum of simple dimension times projective-cover dimension.
-
-    The projective dimensions are the Cartan-row weighted sums of simple
-    dimensions, all at once: the columns of ``P = D @ C.T`` are their
-    cosine coordinates, where the columns of ``D`` are those of the simple
-    dimensions ``d_S``.  This route ties the Cartan matrix itself to the
-    total dimension.
-    """
+def _proj_fpdims_cartan(m: int) -> list[CycInt]:
+    """The same column as Cartan-row weighted sums of simple dimensions:
+    the columns of ``P = D @ C.T`` are the cosine coordinates of the
+    projective dimensions, where the columns of ``D`` are those of the
+    simple dimensions ``d_S``."""
     level = _check_index(m)
-    d_cos = d_cos_matrix(level)
-    proj = d_cos @ cartan(m).T
+    proj = d_cos_matrix(level) @ cartan(m).T
+    return [CycInt.from_cos(level, p_col) for p_col in proj.T.tolist()]
+
+
+def _category_fpdim_from_projectives(proj: list[CycInt]) -> CycInt:
+    """Sum of simple dimension times projective-cover dimension over a
+    column of projective dimensions.  Fed the Cartan route's column, this
+    ties the Cartan matrix itself to the total dimension."""
+    level = proj[0].level
     acc = CycInt.zero(level)
-    for d_col, p_col in zip(d_cos.T.tolist(), proj.T.tolist()):
-        acc = acc + CycInt.from_cos(level, d_col) * CycInt.from_cos(level, p_col)
+    for smask, p in enumerate(proj):
+        acc = acc + d_basis_element(smask, level) * p
     return acc
 
 

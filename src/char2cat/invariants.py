@@ -1,29 +1,30 @@
 """Invariant-space dimensions by three independent routes.
 
 ``d(m, n)`` counts the invariants in the ``2m``-th tensor power of the
-top simple at level ``n``.  The three routes are: a binomial recursion in
-the level, closed walks on a path graph with ``2**(n+1) - 1`` nodes, and
-the coefficients of a generating function solved from its functional
-equation in integers, by a Horner composition in which multiplying by
-``z^k/(1-2z)^j`` is a shift by ``k`` and ``j`` one-pass divisions by
-``1-2z``.  A truncated Clebsch-Gordan fusion on a finite label set
-provides the quantum-dimension bookkeeping used in the dimension totals.
+top simple at level ``n``.  Each route returns the column ``d(0..top, n)``
+in one pass (``ROUTES``): a binomial recursion in the level, built
+bottom-up; closed walks on a path graph with ``2**(n+1) - 1`` nodes, from
+one walk; and the coefficients of a generating function solved from its
+functional equation in integers, by a Horner composition in which
+multiplying by ``z^k/(1-2z)^j`` is a shift by ``k`` and ``j`` one-pass
+divisions by ``1-2z``.  A truncated Clebsch-Gordan fusion on a finite
+label set provides the quantum-dimension bookkeeping used in the
+dimension totals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import LabelOutOfRange, OrderTooLarge
 
 __all__ = [
     "INVARIANTS_LEVEL_CAP",
     "SERIES_ORDER_CAP",
-    "PowerSeries",
-    "path_count",
-    "d_recursive",
+    "ROUTES",
+    "closed_walks",
+    "recursion_column",
+    "paths_column",
     "series_f",
     "hom_invariants_dim",
     "verlinde_product",
@@ -34,75 +35,71 @@ __all__ = [
 #: every route.
 SERIES_ORDER_CAP = 256
 #: Largest ``invariants --level``.  The paths route walks ``2**(n+1) - 1``
-#: nodes: at order 256 with all three routes, level 8 takes about 2.6 s
-#: cold and each further level about 1.7 times as long.
+#: nodes: at order 256 with all three routes, level 8 takes about 0.1-0.15 s
+#: cold inside ``cli.run`` (0.5-0.6 s with the interpreter's start-up), and
+#: each further level up to 1.5 times as long as the walk's share grows.
 INVARIANTS_LEVEL_CAP = 8
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Exact integer coefficients ``c_0 .. c_order`` with explicit
-    truncation order."""
-
-    coeffs: tuple[int, ...]
-    order: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must equal order + 1")
-
-    def coefficient(self, m: int) -> int:
-        if not 0 <= m <= self.order:
-            raise IndexError(f"coefficient {m} beyond truncation order {self.order}")
-        return self.coeffs[m]
+def _check_column(n: int, top: int) -> None:
+    """Every route takes ``n >= 0`` and ``0 <= top <= SERIES_ORDER_CAP``."""
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
+    if top < 0:
+        raise ValueError(f"order must be nonnegative, got {top}")
+    if top > SERIES_ORDER_CAP:
+        raise OrderTooLarge(f"order {top} exceeds the cap SERIES_ORDER_CAP={SERIES_ORDER_CAP}")
 
 
-def path_count(nodes: int, length: int) -> int:
-    """Closed walks of ``length`` steps from the left end of the path
-    graph on ``nodes`` vertices, with arbitrary-precision integers.
-
-    Walk-vector recurrence: after each step the count at a vertex is the
-    sum of the counts at its neighbours."""
+def closed_walks(nodes: int, length: int) -> list[int]:
+    """Closed walks from the left end of the path graph on ``nodes``
+    vertices, for every length ``0 .. length``, from one walk-vector
+    recurrence: after each step the count at a vertex is the sum of the
+    counts at its neighbours, and the count at the left end is recorded."""
     if nodes < 1:
         raise ValueError(f"need at least one node, got {nodes}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     walks = [1] + [0] * (nodes - 1)  # walks ending at each vertex
+    out = [1]
     for _ in range(length):
         walks = [x + y for x, y in zip([0] + walks[:-1], walks[1:] + [0])]
-    return walks[0]
+        out.append(walks[0])
+    return out
 
 
-@lru_cache(maxsize=None)
-def d_recursive(m: int, n: int) -> int:
-    """Binomial recursion in the level:
-    ``d(m, n) = sum_s C(m-1, 2s) 2^(m-1-2s) d(s, n-1)``."""
-    if m < 0 or n < 0:
-        raise ValueError("arguments must be nonnegative")
-    if m == 0:
-        return 1
-    if n == 0:
-        return 0
-    total = 0
-    for s in range(0, (m - 1) // 2 + 1):
-        total += math.comb(m - 1, 2 * s) * (1 << (m - 1 - 2 * s)) * d_recursive(s, n - 1)
-    return total
+def recursion_column(n: int, top: int) -> list[int]:
+    """``d(0..top, n)`` by the binomial recursion in the level:
+    ``d(m, k) = sum_s C(m-1, 2s) 2^(m-1-2s) d(s, k-1)`` from ``d(0, k) = 1``
+    and ``d(m, 0) = 0``.  Built bottom-up: level ``k`` needs only
+    ``m <= top >> (n - k)``, since ``s <= (m-1)/2``."""
+    _check_column(n, top)
+    col = [1] + [0] * (top >> n)
+    for k in range(1, n + 1):
+        prev = col
+        col = [1] + [
+            sum(math.comb(m - 1, 2 * s) * prev[s] << (m - 1 - 2 * s)
+                for s in range((m - 1) // 2 + 1))
+            for m in range(1, (top >> (n - k)) + 1)
+        ]
+    return col
 
 
-def series_f(n: int, order: int) -> PowerSeries:
-    """Generating function of ``d(., n)`` to the given order, via the
-    functional equation ``f_n = 1 + z/(1-2z) * f_{n-1}(z^2/(1-2z)^2)``.
+def paths_column(n: int, top: int) -> list[int]:
+    """``d(0..top, n)`` as closed walks of even length ``0 .. 2 * top`` on
+    the path graph with ``2**(n+1) - 1`` nodes (odd lengths vanish)."""
+    _check_column(n, top)
+    return closed_walks((1 << (n + 1)) - 1, 2 * top)[::2]
+
+
+def series_f(n: int, order: int) -> list[int]:
+    """Coefficients ``0 .. order`` of the generating function of
+    ``d(., n)``, via the functional equation
+    ``f_n = 1 + z/(1-2z) * f_{n-1}(z^2/(1-2z)^2)``.
     Multiplying by ``z^k/(1-2z)^j`` is a shift by ``k``, then ``j`` passes
     ``c[i] += 2 c[i-1]``, each dividing by ``1-2z``; the composition is a
     Horner loop of such steps, exact in integers."""
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if order > SERIES_ORDER_CAP:
-        raise OrderTooLarge(
-            f"order {order} exceeds the cap SERIES_ORDER_CAP={SERIES_ORDER_CAP}"
-        )
+    _check_column(n, order)
     coeffs = [1] + [0] * order
     for _ in range(n):
         # compose the previous series with w = z^2/(1-2z)^2 by Horner:
@@ -120,17 +117,23 @@ def series_f(n: int, order: int) -> PowerSeries:
         for i in range(1, order + 1):
             coeffs[i] += 2 * coeffs[i - 1]
         coeffs[0] += 1
-    return PowerSeries(tuple(coeffs), order)
+    return coeffs
+
+
+#: The routes by their ``invariants --route`` names; each maps
+#: ``(n, top)`` to ``d(0..top, n)``.
+ROUTES = {"recursion": recursion_column, "paths": paths_column, "series": series_f}
 
 
 def hom_invariants_dim(r: int, n: int) -> int:
     """Invariants in the ``r``-th tensor power of the top simple: zero in
-    odd powers, ``d(r/2, n)`` in even ones."""
+    odd powers, ``d(r/2, n)`` in even ones, read from the recursion column
+    (so ``r/2`` is capped at ``SERIES_ORDER_CAP``)."""
     if r < 0 or n < 0:
         raise ValueError("arguments must be nonnegative")
     if r % 2:
         return 0
-    return d_recursive(r // 2, n)
+    return recursion_column(n, r // 2)[-1]
 
 
 def _check_label(a: int, n: int) -> int:

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 from .cyclotomic import IntPoly, _compose_square_minus_two, check_level
 from .errors import NotTiltingCharacter
-from .fusion import FusionElt, fusion_elt, simple_elt, unit
+from .fusion import FusionElt, _gen_mul_terms, fusion_elt, simple_elt, unit
 
 __all__ = [
     "TILT_INDEX_CAP",
@@ -386,7 +386,8 @@ def digit_images(indices, n: int) -> list[FusionElt]:
     where ``x_j`` is generator ``j`` (``x_0 = 0``) and ``i`` keeps each mask
     and raises the level by one.  The masks of ``i(.)`` omit ``n``, so
     ``x_n`` adjoins it.  The images met on the way are kept for this call
-    only."""
+    only, and the generator rule is applied uncached, so a call fills no
+    cache."""
     check_level(n)
     memo: dict[tuple[int, int], FusionElt] = {}
 
@@ -404,10 +405,14 @@ def digit_images(indices, n: int) -> list[FusionElt]:
                 if m % 2:
                     top = 1 << (lev - 1)
                     memo[key] = FusionElt(lev, tuple((s | top, c) for s, c in inner.coeffs))
-                elif lev == 1:
-                    memo[key] = inner * 2
                 else:
-                    memo[key] = inner * 2 + simple_elt(lev, 1 << (lev - 2)) * inner
+                    # (2 + x_(lev-1)) inner by the uncached generator rule,
+                    # whose terms for x_0 are empty
+                    out = {s: 2 * c for s, c in inner.coeffs}
+                    for s, c in inner.coeffs:
+                        for s2, c2 in _gen_mul_terms(lev - 1, s, lev):
+                            out[s2] = out.get(s2, 0) + c * c2
+                    memo[key] = fusion_elt(lev, out)
         return memo[key]
 
     return [image(n, m) for m in indices]

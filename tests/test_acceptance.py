@@ -45,7 +45,7 @@ from char2cat.homology import (
     ext1_dim,
     ext1_matrix,
 )
-from char2cat.invariants import d_recursive, path_count, series_f
+from char2cat.invariants import ROUTES, recursion_column
 from char2cat.tilting import (
     TiltSum,
     char_mul,
@@ -191,12 +191,8 @@ def test_criterion_5_annihilation():
 def test_criterion_6_invariants():
     t0 = time.perf_counter()
     for n in range(6):
-        sf = series_f(n, 20)
-        for m in range(21):
-            rec = d_recursive(m, n)
-            pth = path_count((1 << (n + 1)) - 1, 2 * m)
-            ser = sf.coefficient(m)
-            assert rec == pth == ser, (m, n)
+        rec, pth, ser = (route(n, 20) for route in ROUTES.values())
+        assert rec == pth == ser, n
     assert time.perf_counter() - t0 < 5.0
     # explicit enumeration: the two closed 4-step walks behind d(2,1)
     walks = []
@@ -211,7 +207,7 @@ def test_criterion_6_invariants():
                 wander(nxt, path + [nxt])
 
     wander(0, [0])
-    assert len(walks) == 2 == d_recursive(2, 1)
+    assert len(walks) == 2 == recursion_column(1, 2)[2]
     assert set(walks) == {(0, 1, 0, 1, 0), (0, 1, 2, 1, 0)}
 
 
@@ -316,14 +312,11 @@ def test_criterion_10_homology_cap():
 # 11. invariant dimensions at the series order cap
 
 
-@criterion("11 series_f(5, 256) = recursion m<=256 = paths at 7 orders, <1s")
+@criterion("11 series_f(5, 256) = recursion = paths at every order m<=256, <1s")
 def test_criterion_11_series_cap():
     t0 = time.perf_counter()
-    sf = series_f(5, 256)
-    for m in range(257):
-        assert sf.coefficient(m) == d_recursive(m, 5), m
-    for m in (0, 1, 2, 64, 128, 255, 256):
-        assert sf.coefficient(m) == path_count(63, 2 * m), m
+    rec, pth, ser = (route(5, 256) for route in ROUTES.values())
+    assert len(ser) == 257 and rec == pth == ser
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -363,13 +356,14 @@ def test_criterion_12_verify_cap():
 # exec, the peak of the process that started the child, here the test run.
 _CAP_CHILD = """
 import sys, time
-from char2cat import cli, tilting
+from char2cat import cli, fusion, tilting
 t0 = time.perf_counter()
 code = cli.run(sys.argv[2:] + ["--out", sys.argv[1]])
 elapsed = time.perf_counter() - t0
 with open("/proc/self/status") as fh:
     peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize)
+print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize,
+      fusion.gen_mul.cache_info().currsize)
 """
 
 
@@ -389,8 +383,8 @@ def _cli_in_child(argv):
     """Run ``argv`` through ``cli.run`` in a fresh interpreter, so every
     cache starts cold and the peak RSS is the command's own.  Returns the
     exit code, the seconds inside ``cli.run``, the peak RSS in MB, the
-    report's checks (``None`` unless the output is JSON) and the number of
-    tilting characters left in the ``tilt_char`` cache."""
+    report's checks (``None`` unless the output is JSON) and the numbers of
+    entries left in the ``tilt_char`` and ``gen_mul`` caches."""
     import os
     import subprocess
     import tempfile
@@ -405,10 +399,11 @@ def _cli_in_child(argv):
             [sys.executable, "-c", _CAP_CHILD, str(out), *argv],
             capture_output=True, text=True, env=env, check=True,
         )
-        code, elapsed, peak_kb, tilt_chars = proc.stdout.split()
+        code, elapsed, peak_kb, *cached = proc.stdout.split()
         is_json = "--format" not in argv or argv[argv.index("--format") + 1] == "json"
         report_checks = _report_checks(out) if is_json else None
-        return int(code), float(elapsed), int(peak_kb) / 1024, report_checks, int(tilt_chars)
+        return (int(code), float(elapsed), int(peak_kb) / 1024, report_checks,
+                tuple(map(int, cached)))
 
 
 @criterion("13 cartan --index 25 <25s, <1.5GB and fusion --level 8 <10s, <600MB "
@@ -436,7 +431,8 @@ def test_criterion_13_tables_at_caps():
 
 
 @criterion("14 tilt --functor 12 --max-m 2047 <20s, <1.7GB, --table --max-m 2047 <0.25s, "
-           "<170MB, --decompose 2047 <5s, <160MB (json) cold via cli.run, no tilt_char cached")
+           "<170MB, --decompose 2047 <5s, <160MB (json) cold via cli.run, "
+           "no tilt_char or gen_mul cached")
 def test_criterion_14_tilt_at_caps():
     from char2cat.cyclotomic import RING_LEVEL_CAP
     from char2cat.tilting import TILT_INDEX_CAP
@@ -448,14 +444,15 @@ def test_criterion_14_tilt_at_caps():
         (["tilt", "--table", "--max-m", index], ["top-summand-multiplicity-one"], 0.25, 170),
         (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 5.0, 160),
     ):
-        code, elapsed, rss_mb, report_checks, tilt_chars = _cli_in_child(argv)
+        code, elapsed, rss_mb, report_checks, cached = _cli_in_child(argv)
         assert code == 0, argv
         assert [c["name"] for c in report_checks] == names, argv
         assert all(c["pass"] for c in report_checks), argv
         assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
         assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
-        # the output routes read Donkin's digits, not the characters
-        assert tilt_chars == 0, argv
+        # the output routes read Donkin's digits, not the characters, and
+        # apply the generator rule uncached
+        assert cached == (0, 0), argv
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +483,7 @@ def test_criterion_15_ext1_at_cap():
 
 
 @criterion("16 invariants --level 8 (INVARIANTS_LEVEL_CAP) --max-m 256 (SERIES_ORDER_CAP) "
-           "--route all cold via cli.run, <12s, <150MB")
+           "--route all cold via cli.run, <1s, <150MB")
 def test_criterion_16_invariants_at_caps():
     from char2cat.invariants import INVARIANTS_LEVEL_CAP, SERIES_ORDER_CAP
 
@@ -496,7 +493,7 @@ def test_criterion_16_invariants_at_caps():
     assert code == 0
     assert [c["name"] for c in report_checks] == ["routes-agree"]
     assert all(c["pass"] for c in report_checks)
-    assert elapsed < 12.0, f"took {elapsed:.1f}s"
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
     assert rss_mb < 150, f"peak RSS {rss_mb:.0f} MB"
 
 

@@ -46,6 +46,45 @@ def test_min_poly_cache_holds_the_whole_tower():
     assert min_poly.cache_info().currsize == RING_LEVEL_CAP + 1
 
 
+# Each unbounded cache, with why a bound is not needed.
+UNBOUNDED = {
+    "char2cat.fusion.gen_mul":
+        "one FusionElt per (generator, mask, level) that a product meets",
+    "char2cat.fusion.generator_matrix":
+        "one matrix per (generator, level); both routes of a structure tensor read it",
+    "char2cat.tilting.tilt_char":
+        "characters of the indices the character route convolves; no command output fills it",
+    "char2cat.cli.build_parser":
+        "takes no arguments, so it holds the one parser",
+}
+
+
+def test_unbounded_caches_are_exactly_the_listed_ones():
+    unbounded = {name for name, fn in _lru_caches().items()
+                 if fn.cache_info().maxsize is None}
+    assert unbounded == set(UNBOUNDED)
+
+
+def test_cartan_and_ext1_caches_hold_the_last_index():
+    from char2cat.homology import cartan, ext1_matrix
+
+    for fn in (cartan, ext1_matrix):
+        char2cat.clear_caches()
+        fn(13)
+        fn(12)
+        assert fn.cache_info().currsize == 1, fn.__name__
+        assert fn(12) is fn(12), fn.__name__
+
+
+def test_digit_images_fill_no_generator_cache():
+    from char2cat.fusion import gen_mul
+    from char2cat.tilting import digit_images
+
+    char2cat.clear_caches()
+    digit_images([*range(2048), 8191], 12)
+    assert gen_mul.cache_info().currsize == 0
+
+
 def _imported_roots(path):
     roots = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

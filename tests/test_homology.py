@@ -20,7 +20,7 @@ from char2cat.homology import (
     category_fpdim,
     ext1_dim,
     ext1_matrix,
-    proj_fpdim,
+    proj_fpdims,
 )
 
 # ----------------------------------------------------------------------
@@ -151,9 +151,10 @@ def test_proj_fpdim_matches_cartan_row_exactly():
     # the multiplicative recursion, read in the d-basis, is the Cartan row
     for m in (4, 5, 6, 7):
         lev = m // 2
+        proj = proj_fpdims(m)
+        assert len(proj) == 1 << lev
         for smask in range(1 << lev):
-            p = proj_fpdim(m, smask)
-            coords = to_d_basis(p)
+            coords = to_d_basis(proj[smask])
             row = cartan(m)[smask]
             assert coords == [int(v) for v in row]
 
@@ -163,7 +164,7 @@ def test_proj_fpdim_top_class_is_its_own_projective():
     for n in range(1, 5):
         m = 2 * n
         top = (1 << n) - 1
-        p = proj_fpdim(m, top)
+        p = proj_fpdims(m)[top]
         assert to_d_basis(p) == [
             1 if k == top else 0 for k in range(1 << n)
         ]
@@ -202,22 +203,24 @@ def test_category_fpdim_equals_sum_over_projectives():
     for m in range(8):
         lev = m // 2
         total = CycInt.zero(lev)
+        proj = proj_fpdims(m)
         for smask in range(1 << lev):
-            total = total + d_basis_element(smask, lev) * proj_fpdim(m, smask)
+            total = total + d_basis_element(smask, lev) * proj[smask]
         assert category_fpdim(m) == total
 
 
 def test_total_dimension_routes_agree_where_each_runs():
     # the recursion and the multiplied-out closed form up to the cap, the
-    # matrix sum D @ C.T up to index 17 (2 * VERIFY_LEVEL_CAP + 1)
-    from char2cat.homology import _category_fpdim_from_projectives
+    # sum over the Cartan route's projective column up to index 17
+    # (2 * VERIFY_LEVEL_CAP + 1)
+    from char2cat.homology import _category_fpdim_from_projectives, _proj_fpdims_cartan
 
     for m in range(CATEGORY_INDEX_CAP + 1):
         q = category_fpdim(m)
         assert q.level == m // 2, m
         assert checks.total_dimension_matches_closed_form(m, q), m
         if m <= 2 * checks.VERIFY_LEVEL_CAP + 1:
-            assert _category_fpdim_from_projectives(m) == q, m
+            assert _category_fpdim_from_projectives(_proj_fpdims_cartan(m)) == q, m
 
 
 def test_closed_form_predicate_rejects_wrong_totals():

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 import golden
 from char2cat.errors import LabelOutOfRange, OrderTooLarge
 from char2cat.invariants import (
+    ROUTES,
     SERIES_ORDER_CAP,
-    d_recursive,
+    closed_walks,
     hom_invariants_dim,
-    path_count,
+    recursion_column,
     series_f,
     verlinde_product,
     verlinde_qdim,
@@ -43,19 +44,18 @@ def _walks_brute(nodes: int, length: int) -> int:
 
 def test_path_count_matches_brute_force_enumeration():
     for nodes in range(1, 6):
-        for length in range(9):
-            assert path_count(nodes, length) == _walks_brute(nodes, length)
+        walks = closed_walks(nodes, 8)
+        assert walks == [_walks_brute(nodes, length) for length in range(9)]
 
 
 def test_path_count_odd_lengths_vanish():
     for nodes in range(1, 6):
-        for length in range(1, 12, 2):
-            assert path_count(nodes, length) == 0
+        assert closed_walks(nodes, 11)[1::2] == [0] * 6
 
 
 def test_two_step_walks_on_three_nodes():
     # the two length-4 closed walks: 0-1-0-1-0 and 0-1-2-1-0
-    assert path_count(3, 4) == 2
+    assert closed_walks(3, 4)[4] == 2
     assert _walks_brute(3, 4) == 2
 
 
@@ -65,30 +65,36 @@ def test_two_step_walks_on_three_nodes():
 
 def test_d_recursive_base_cases():
     for n in range(6):
-        assert d_recursive(0, n) == 1
-    for m in range(1, 10):
-        assert d_recursive(m, 0) == 0
+        assert recursion_column(n, 0) == [1]
+    assert recursion_column(0, 9) == [1] + [0] * 9
 
 
 def test_d_recursive_level1_closed_form():
-    for m in range(15):
-        assert d_recursive(m, 1) == golden.d_level1(m)
+    assert recursion_column(1, 14) == [golden.d_level1(m) for m in range(15)]
 
 
 def test_d_recursive_monotone_in_level():
-    for m in range(8):
-        for n in range(1, 5):
-            assert d_recursive(m, n + 1) >= d_recursive(m, n)
+    for n in range(1, 5):
+        lower, upper = recursion_column(n, 7), recursion_column(n + 1, 7)
+        assert all(b >= a for a, b in zip(lower, upper)), n
 
 
 def test_triple_route_agreement_small():
+    assert list(ROUTES) == ["recursion", "paths", "series"]
     for n in range(4):
-        sf = series_f(n, 10)
-        for m in range(11):
-            rec = d_recursive(m, n)
-            pth = path_count((1 << (n + 1)) - 1, 2 * m)
-            ser = sf.coefficient(m)
-            assert rec == pth == ser, (m, n)
+        rec, pth, ser = (route(n, 10) for route in ROUTES.values())
+        assert rec == pth == ser, n
+        assert len(rec) == 11, n
+
+
+def test_every_route_validates_its_arguments():
+    for route in ROUTES.values():
+        with pytest.raises(ValueError, match="level"):
+            route(-1, 3)
+        with pytest.raises(ValueError, match="order"):
+            route(2, -1)
+        with pytest.raises(OrderTooLarge, match="SERIES_ORDER_CAP"):
+            route(2, SERIES_ORDER_CAP + 1)
 
 
 # ----------------------------------------------------------------------
@@ -96,37 +102,34 @@ def test_triple_route_agreement_small():
 
 
 def test_series_level0_is_constant_one():
-    sf = series_f(0, 20)
-    assert sf.coefficient(0) == 1
-    assert all(sf.coefficient(m) == 0 for m in range(1, 21))
+    assert series_f(0, 20) == [1] + [0] * 20
 
 
 def test_series_level1_geometric():
     sf = series_f(1, 16)
-    assert sf.coefficient(0) == 1
+    assert sf[0] == 1
     for m in range(1, 17):
-        assert sf.coefficient(m) == Fraction(1 << (m - 1))
+        assert sf[m] == Fraction(1 << (m - 1))
 
 
 def test_series_coefficients_are_integers():
     for n in range(4):
         sf = series_f(n, 24)
-        assert all(sf.coefficient(m).denominator == 1 for m in range(25))
+        assert len(sf) == 25
+        assert all(type(c) is int for c in sf)
 
 
 def test_series_truncation_keeps_low_coefficients():
     # at orders 0 and 1 the shift by z^2 falls off the end of the list
     for n in range(6):
-        full = series_f(n, 40).coeffs
+        full = series_f(n, 40)
         for order in range(5):
-            assert series_f(n, order).coeffs == full[: order + 1], (n, order)
+            assert series_f(n, order) == full[: order + 1], (n, order)
 
 
 def test_series_order_cap_named():
     with pytest.raises(OrderTooLarge, match="SERIES_ORDER_CAP"):
         series_f(2, SERIES_ORDER_CAP + 1)
-    with pytest.raises(IndexError):
-        series_f(2, 5).coefficient(6)
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +145,7 @@ def test_hom_invariants_odd_powers_vanish():
 def test_hom_invariants_even_powers():
     for n in range(5):
         for m in range(8):
-            assert hom_invariants_dim(2 * m, n) == d_recursive(m, n)
+            assert hom_invariants_dim(2 * m, n) == series_f(n, m)[m]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ independent routes.
 
 import sys
 
-from .chebyshev import cheb_q, eval_poly, split_signs
+from .chebyshev import cheb_q, eval_poly
 from .cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
@@ -20,7 +20,6 @@ from .cyclotomic import (
     embed,
     eval_min_poly_at_matrix,
     min_poly,
-    min_poly_root_gap,
     to_d_basis,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .errors import (
 from .fusion import (
     STRUCTURE_LEVEL_CAP,
     FusionElt,
-    SimpleIndex,
     fpdim,
     frobenius_twist,
     fusion_elt,
@@ -64,7 +62,6 @@ from .invariants import (
     INVARIANTS_LEVEL_CAP,
     SERIES_ORDER_CAP,
     closed_walks,
-    hom_invariants_dim,
     paths_column,
     recursion_column,
     series_f,
@@ -80,13 +77,10 @@ from .tilting import (
     functor_images,
     functor_to_fusion,
     in_T1_polynomial,
-    quotient_reduce,
     simple_char,
-    steinberg_dim,
     tensor_power_decompose,
     tensor_v_rows,
     tilt_char,
-    tilt_tensor_v,
     twist_char,
     weyl_char,
 )
@@ -100,9 +94,10 @@ def clear_caches() -> None:
     Every cache is a ``functools.lru_cache`` on values a command re-reads:
     ``cyclotomic.min_poly`` holds the whole tower (``RING_LEVEL_CAP + 1``
     levels), ``homology.cartan`` and ``homology.ext1_matrix`` the last index
-    asked for; ``fusion.gen_mul``, ``fusion.generator_matrix``,
-    ``tilting.tilt_char`` and ``cli.build_parser`` are unbounded, filled
-    only within the caps of the commands that read them."""
+    asked for, ``tilting.tilt_char`` up to 64 characters (the checks read
+    42) and ``cli.build_parser`` the one parser; ``fusion.gen_mul`` and
+    ``fusion.generator_matrix`` are unbounded, filled only within the caps
+    of the commands that read them."""
     for name, mod in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(mod).values():

@@ -593,7 +593,7 @@ def _render(report: Report, fmt: str, text, csv) -> str:
 # argument parsing and dispatch
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

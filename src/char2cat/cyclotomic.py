@@ -95,9 +95,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -407,9 +404,6 @@ class CycInt:
             e >>= 1
         return out
 
-    def is_zero(self) -> bool:
-        return not any(self.cos)
-
     # -- numerics
 
     def to_float(self) -> float:
@@ -506,31 +500,7 @@ def to_d_basis(e: CycInt) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# exact evaluation near the generator, and matrix annihilation
-
-
-def min_poly_root_gap(n: int, bits: int = 256) -> float:
-    """Upper bound on |p_n(x)| at a dyadic x within 2^-bits of delta_n.
-
-    p_n has huge coefficients for large n, so a float Horner evaluation at
-    the root cancels catastrophically (and the coefficients overflow float64
-    beyond n = 11).  Instead delta_n is approximated by integer square roots
-    in fixed point and p_n evaluated there through its nested form
-    y -> y^2 - 2, whose truncation error grows only geometrically in n; the
-    returned float bounds the true |p_n(x)| from above.
-    """
-    check_level(n)
-    # delta_n = sqrt(2 + delta_{n-1}) with delta_0 = 0, in fixed point
-    scale = 1 << bits
-    x = 0
-    for _ in range(n):
-        x = math.isqrt((2 * scale + x) << bits)
-    y = x
-    err = 1  # ulp bound on |y - exact|
-    for _ in range(n):
-        err = (2 * abs(y) // scale + 2) * err + 1
-        y = (y * y >> bits) - 2 * scale
-    return (abs(y) + err) / scale
+# exact float64 products, and matrix annihilation
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -35,7 +35,6 @@ from .errors import GeneratorOutOfRange, LevelMismatch
 
 __all__ = [
     "STRUCTURE_LEVEL_CAP",
-    "SimpleIndex",
     "mask_subset",
     "FusionElt",
     "fusion_elt",
@@ -51,22 +50,6 @@ __all__ = [
 ]
 
 STRUCTURE_LEVEL_CAP = 8
-
-
-@dataclass(frozen=True)
-class SimpleIndex:
-    """A basis class: ``level`` plus subset bitmask (= printed index)."""
-
-    level: int
-    mask: int
-
-    def __post_init__(self):
-        check_level(self.level)
-        check_subset(self.mask, self.level)
-
-    @property
-    def subset(self) -> tuple[int, ...]:
-        return tuple(mask_subset(self.mask))
 
 
 def mask_subset(mask: int) -> list[int]:
@@ -95,10 +78,6 @@ class FusionElt:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
-
-    def coefficient(self, mask: int) -> int:
-        check_subset(mask, self.level)
-        return self.as_dict().get(mask, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -153,6 +132,7 @@ def fusion_elt(level: int, mapping: dict[int, int]) -> FusionElt:
 
 
 def simple_elt(level: int, mask: int) -> FusionElt:
+    check_level(level)
     check_subset(mask, level)
     return FusionElt(level, ((mask, 1),))
 

@@ -8,8 +8,8 @@ one walk; and the coefficients of a generating function solved from its
 functional equation in integers, by a Horner composition in which
 multiplying by ``z^k/(1-2z)^j`` is a shift by ``k`` and ``j`` one-pass
 divisions by ``1-2z``.  A truncated Clebsch-Gordan fusion on a finite
-label set provides the quantum-dimension bookkeeping used in the
-dimension totals.
+label set, the semisimplified companion ring, provides quantum
+dimensions; only the ``invariants/verlinde-qdims`` check reads them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "recursion_column",
     "paths_column",
     "series_f",
-    "hom_invariants_dim",
     "verlinde_product",
     "verlinde_qdim",
 ]
@@ -123,17 +122,6 @@ def series_f(n: int, order: int) -> list[int]:
 #: The routes by their ``invariants --route`` names; each maps
 #: ``(n, top)`` to ``d(0..top, n)``.
 ROUTES = {"recursion": recursion_column, "paths": paths_column, "series": series_f}
-
-
-def hom_invariants_dim(r: int, n: int) -> int:
-    """Invariants in the ``r``-th tensor power of the top simple: zero in
-    odd powers, ``d(r/2, n)`` in even ones, read from the recursion column
-    (so ``r/2`` is capped at ``SERIES_ORDER_CAP``)."""
-    if r < 0 or n < 0:
-        raise ValueError("arguments must be nonnegative")
-    if r % 2:
-        return 0
-    return recursion_column(n, r // 2)[-1]
 
 
 def _check_label(a: int, n: int) -> int:

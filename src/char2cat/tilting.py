@@ -16,8 +16,8 @@ algebraic groups", Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and
 - ``tensor_v_rows``: from ``T(1)^2 = T(2)`` and ``T(2) T(1) = T(3) +
   2 T(1)``, the tensor-by-degree-1 row of ``2k+1`` is ``T(2k+2)`` and the
   row of ``2k+2`` is the row of ``k`` with each index ``j`` sent to
-  ``2j+1``, plus ``2 T(2k+1)``.  ``tilt_tensor_v`` and
-  ``tensor_power_decompose`` read these rows.
+  ``2j+1``, plus ``2 T(2k+1)``.  ``tensor_power_decompose`` reads these
+  rows.
 - ``TiltSum.dim``: ``dim T(2k+1) = 2 dim T(k)`` and ``dim T(2k+2) = 4 dim
   T(k)``.
 - ``in_T1_polynomial``: in the split Grothendieck ring each class is an
@@ -35,8 +35,7 @@ highest weight with multiplicity one; it checks the rows.  Tensoring with
 the degree-1 module is unitriangular on indecomposables, so the row step
 ``img(T_(t+1)) = x img(T_t) - sum_s k_s img(T_s)`` over the rows builds
 the images independently of the digits (``functor_images``); it checks
-the digit images.  The quotient operation drops indices at or above a
-threshold.
+the digit images.
 """
 
 from __future__ import annotations
@@ -59,14 +58,11 @@ __all__ = [
     "simple_char",
     "decompose",
     "tensor_v_rows",
-    "tilt_tensor_v",
     "tensor_power_decompose",
     "in_T1_polynomial",
-    "quotient_reduce",
     "functor_images",
     "digit_images",
     "functor_to_fusion",
-    "steinberg_dim",
 ]
 
 #: Largest index, or tensor power, the tilting tables accept: ``2**11 - 1``.
@@ -79,7 +75,7 @@ class WeightChar:
     """Symmetric weight multiplicities; ``half`` holds weights >= 0 only.
 
     Multiplicities may be negative for virtual (non-module) values, which
-    are produced by intermediate arithmetic but rejected by ``decompose``.
+    ``decompose`` rejects.
     """
 
     half: tuple[tuple[int, int], ...]  # sorted descending (weight, mult), mult != 0
@@ -111,19 +107,6 @@ class WeightChar:
                 out[-w] = m
         return out
 
-    def multiplicity(self, w: int) -> int:
-        return self.half_dict().get(abs(w), 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.half
-
-    @property
-    def highest_weight(self) -> int:
-        if not self.half:
-            raise ValueError("the zero character has no highest weight")
-        return self.half[0][0]
-
     @property
     def has_negative(self) -> bool:
         return any(m < 0 for _, m in self.half)
@@ -131,25 +114,6 @@ class WeightChar:
     def dim(self) -> int:
         """Total multiplicity over the full (two-sided) support."""
         return sum(m if w == 0 else 2 * m for w, m in self.half)
-
-    def __add__(self, other: "WeightChar") -> "WeightChar":
-        out = self.half_dict()
-        for w, m in other.half:
-            out[w] = out.get(w, 0) + m
-        return WeightChar.from_half(out)
-
-    def __sub__(self, other: "WeightChar") -> "WeightChar":
-        out = self.half_dict()
-        for w, m in other.half:
-            out[w] = out.get(w, 0) - m
-        return WeightChar.from_half(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return WeightChar(tuple((w, m * other) for w, m in self.half if m * other))
-        return char_mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def weyl_char(m: int) -> WeightChar:
@@ -177,14 +141,15 @@ def twist_char(c: WeightChar) -> WeightChar:
     return WeightChar.from_half({2 * w: m for w, m in c.half})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def tilt_char(m: int) -> WeightChar:
     """Character of the ``m``-th indecomposable tilting module.
 
     Generation: the degree-0/1/2 characters are fixed directly; odd
     indices convolve the degree-1 character with the weight-doubled
     character at ``(m-1)/2``, even indices >= 4 convolve the degree-2
-    character with the one at ``(m-2)/2``.
+    character with the one at ``(m-2)/2``.  Only the checks fill the
+    cache: ``verify --max-level 8`` reads indices ``0..41``.
     """
     if m < 0:
         raise ValueError(f"tilting index must be nonnegative, got {m}")
@@ -213,14 +178,6 @@ def simple_char(m: int) -> WeightChar:
     return out
 
 
-def steinberg_dim(m: int) -> int:
-    """Dimension of the simple with highest weight ``m``: two to the
-    number of ones in the binary expansion."""
-    if m < 0:
-        raise ValueError(f"weight must be nonnegative, got {m}")
-    return 1 << bin(m).count("1")
-
-
 @dataclass(frozen=True)
 class TiltSum:
     """Multiset of indecomposable indices with positive multiplicities."""
@@ -243,12 +200,6 @@ class TiltSum:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def character(self) -> WeightChar:
-        acc = WeightChar(())
-        for m, k in self.entries:
-            acc = acc + tilt_char(m) * k
-        return acc
 
     def dim(self) -> int:
         return sum(k * _tilt_dim(m) for m, k in self.entries)
@@ -307,11 +258,6 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
-def tilt_tensor_v(m: int) -> TiltSum:
-    """Decomposition of (indecomposable ``m``) tensor (degree-1 module)."""
-    return TiltSum.from_dict(tensor_v_rows(m)[m])
-
-
 def tensor_power_decompose(r: int) -> TiltSum:
     """Decomposition of the ``r``-th tensor power of the degree-1 module:
     the multiplicities of ``V^0 = T(0)`` pushed ``r`` times through the
@@ -340,14 +286,6 @@ def in_T1_polynomial(m: int) -> IntPoly:
         return IntPoly((1,))
     twisted = _compose_square_minus_two(in_T1_polynomial((m - 1) // 2).coeffs)
     return IntPoly((0,) * (2 - m % 2) + twisted)
-
-
-def quotient_reduce(ts: TiltSum, n: int) -> TiltSum:
-    """Image in the quotient killing all indices >= 2**n - 1."""
-    if n < 0:
-        raise ValueError(f"quotient index must be nonnegative, got {n}")
-    cutoff = (1 << n) - 1
-    return TiltSum.from_dict({m: k for m, k in ts.entries if m < cutoff})
 
 
 def functor_images(m: int, n: int) -> list[FusionElt]:

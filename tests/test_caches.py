@@ -52,10 +52,15 @@ UNBOUNDED = {
         "one FusionElt per (generator, mask, level) that a product meets",
     "char2cat.fusion.generator_matrix":
         "one matrix per (generator, level); both routes of a structure tensor read it",
-    "char2cat.tilting.tilt_char":
-        "characters of the indices the character route convolves; no command output fills it",
-    "char2cat.cli.build_parser":
-        "takes no arguments, so it holds the one parser",
+}
+
+# Each bounded cache and its bound.
+BOUNDED = {
+    "char2cat.cyclotomic.min_poly": char2cat.RING_LEVEL_CAP + 1,
+    "char2cat.homology.cartan": 1,
+    "char2cat.homology.ext1_matrix": 1,
+    "char2cat.tilting.tilt_char": 64,
+    "char2cat.cli.build_parser": 1,
 }
 
 
@@ -63,6 +68,22 @@ def test_unbounded_caches_are_exactly_the_listed_ones():
     unbounded = {name for name, fn in _lru_caches().items()
                  if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED)
+
+
+def test_bounded_caches_have_the_listed_bounds():
+    maxsizes = {name: fn.cache_info().maxsize for name, fn in _lru_caches().items()}
+    assert {name: size for name, size in maxsizes.items() if size is not None} == BOUNDED
+
+
+def test_verify_at_its_cap_evicts_no_tilting_character(tmp_path):
+    from char2cat.checks import VERIFY_LEVEL_CAP
+    from char2cat.tilting import tilt_char
+
+    char2cat.clear_caches()
+    out = tmp_path / "v.json"
+    assert run(["verify", "--max-level", str(VERIFY_LEVEL_CAP), "--out", str(out)]) == 0
+    info = tilt_char.cache_info()
+    assert info.misses == info.currsize == 42  # indices 0..41, under the bound of 64
 
 
 def test_cartan_and_ext1_caches_hold_the_last_index():

@@ -354,6 +354,11 @@ def test_cap_violations_name_the_cap(capsys):
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2 and name in err and out == "", argv
+    for argv in (["fpdim", "--level", "-1", "--simple", "0"],
+                 ["fusion", "--level", "-1", "--left", "0", "--right", "0"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err == "char2cat: error: level must be a nonnegative integer, got -1\n", argv
 
 
 @pytest.mark.parametrize("route", ["recursion", "paths", "series", "all"])

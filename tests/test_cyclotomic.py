@@ -20,7 +20,6 @@ from char2cat.cyclotomic import (
     eval_min_poly_at_matrix,
     exact_matmul,
     min_poly,
-    min_poly_root_gap,
     to_d_basis,
 )
 from char2cat.errors import (
@@ -59,7 +58,7 @@ def test_min_poly_vanishes_at_generator_exactly():
     from char2cat.chebyshev import eval_poly
 
     for n in range(7):
-        assert eval_poly(min_poly(n), CycInt.delta(n)).is_zero
+        assert eval_poly(min_poly(n), CycInt.delta(n)) == CycInt.zero(n)
 
 
 def _horner_float(coeffs, x):
@@ -161,12 +160,6 @@ def test_delta_float_matches_cosine():
         assert delta_float(n) == pytest.approx(
             2.0 * math.cos(math.pi / (1 << (n + 1))), abs=1e-12
         )
-
-
-def test_min_poly_root_gap_is_tiny():
-    # the bound certifies that the fixed-point evaluation pins the root
-    for n in range(RING_LEVEL_CAP + 1):
-        assert min_poly_root_gap(n) < 1e-40
 
 
 def test_level_cap_enforced_and_named():

@@ -14,7 +14,6 @@ from char2cat.invariants import (
     ROUTES,
     SERIES_ORDER_CAP,
     closed_walks,
-    hom_invariants_dim,
     recursion_column,
     series_f,
     verlinde_product,
@@ -130,22 +129,6 @@ def test_series_truncation_keeps_low_coefficients():
 def test_series_order_cap_named():
     with pytest.raises(OrderTooLarge, match="SERIES_ORDER_CAP"):
         series_f(2, SERIES_ORDER_CAP + 1)
-
-
-# ----------------------------------------------------------------------
-# invariant spaces of tensor powers
-
-
-def test_hom_invariants_odd_powers_vanish():
-    for n in range(5):
-        for r in range(1, 16, 2):
-            assert hom_invariants_dim(r, n) == 0
-
-
-def test_hom_invariants_even_powers():
-    for n in range(5):
-        for m in range(8):
-            assert hom_invariants_dim(2 * m, n) == series_f(n, m)[m]
 
 
 # ----------------------------------------------------------------------

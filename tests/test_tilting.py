@@ -21,13 +21,10 @@ from char2cat.tilting import (
     functor_images,
     functor_to_fusion,
     in_T1_polynomial,
-    quotient_reduce,
     simple_char,
-    steinberg_dim,
     tensor_power_decompose,
     tensor_v_rows,
     tilt_char,
-    tilt_tensor_v,
     twist_char,
     weyl_char,
 )
@@ -40,7 +37,6 @@ def test_weight_char_storage_and_symmetry():
     c = WeightChar.from_half({3: 2, 1: 1, 0: 4})
     assert c.half == ((3, 2), (1, 1), (0, 4))
     assert c.full_dict() == {3: 2, 1: 1, 0: 4, -1: 1, -3: 2}
-    assert c.multiplicity(3) == 2 and c.multiplicity(-3) == 2
     assert c.dim() == 4 + 2 * (2 + 1)
 
 
@@ -48,7 +44,6 @@ def test_weyl_char_dimension_and_weights():
     for m in range(8):
         c = weyl_char(m)
         assert c.dim() == m + 1
-        assert c.highest_weight == m
         # weights m, m-2, ..., each multiplicity one
         assert c.full_dict() == {m - 2 * k: 1 for k in range(m + 1)}
 
@@ -73,13 +68,6 @@ def test_twist_doubles_weights():
     assert twist_char(c).full_dict() == {4: 1, 0: 3, -4: 1}
 
 
-def test_char_arithmetic():
-    a, b = weyl_char(2), weyl_char(1)
-    assert (a + b).dim() == 5
-    assert (a - a).is_zero
-    assert (2 * b).dim() == 4
-
-
 # ----------------------------------------------------------------------
 # simple and tilting characters
 
@@ -87,7 +75,7 @@ def test_char_arithmetic():
 def test_simple_char_digit_product():
     # binary-digit factorization: dim is 2^(number of set bits)
     for m in range(32):
-        assert simple_char(m).dim() == steinberg_dim(m)
+        assert simple_char(m).dim() == 1 << bin(m).count("1")
     # 2-power highest weights give two-dimensional simples
     for k in range(5):
         assert simple_char(1 << k).full_dict() == {1 << k: 1, -(1 << k): 1}
@@ -105,10 +93,11 @@ def test_tilt_char_factor_multisets_golden():
     # T_m decomposes in the split ring into the golden multiset of
     # simple factors; characters are additive on factors
     for m, factors in golden.INDECOMPOSABLE_FACTORS.items():
-        total = WeightChar.from_half({})
+        total: dict = {}
         for f, mult in factors.items():
-            total = total + mult * simple_char(f)
-        assert tilt_char(m) == total, m
+            for w, k in simple_char(f).half:
+                total[w] = total.get(w, 0) + mult * k
+        assert tilt_char(m) == WeightChar.from_half(total), m
 
 
 def test_tilt_char_dims():
@@ -140,7 +129,11 @@ def test_decompose_recovers_single_tilts():
 )
 def test_decompose_roundtrip(entries):
     ts = TiltSum.from_dict(entries)
-    assert decompose(ts.character()) == ts
+    character: dict = {}
+    for m, k in ts.entries:
+        for w, mult in tilt_char(m).half:
+            character[w] = character.get(w, 0) + k * mult
+    assert decompose(WeightChar.from_half(character)) == ts
 
 
 def test_decompose_rejects_non_tilting():
@@ -150,7 +143,7 @@ def test_decompose_rejects_non_tilting():
 
 def test_tensor_by_v_golden_table():
     for m, want in golden.TENSOR_BY_V.items():
-        assert tilt_tensor_v(m).as_dict() == want, m
+        assert tensor_v_rows(m)[m] == want, m
 
 
 def test_digit_rows_equal_the_character_route():
@@ -205,11 +198,12 @@ def test_in_t1_polynomials_golden():
 
 def test_in_t1_polynomials_match_the_row_step():
     # reference: the tensor-by-degree-1 row step in Z[x],
-    # g_(t+1) = x g_t - sum_s k_s g_s, on the rows of the character route
+    # g_(t+1) = x g_t - sum_s k_s g_s, on the tensor-by-degree-1 rows
     x = IntPoly((0, 1))
     ref = [IntPoly((1,))]
+    rows = tensor_v_rows(254)
     for t in range(255):
-        row = tilt_tensor_v(t).as_dict()
+        row = dict(rows[t])
         assert row.pop(t + 1) == 1, t
         nxt = x * ref[t]
         for s, k in row.items():
@@ -223,13 +217,6 @@ def test_in_t1_polynomials_match_chebyshev_at_steinberg_indices():
     for k in range(8):
         m = (1 << k) - 1
         assert in_T1_polynomial(m) == cheb_q(m)
-
-
-def test_quotient_reduce_threshold():
-    ts = TiltSum.from_dict({0: 1, 2: 3, 6: 2, 7: 5, 9: 1})
-    # at level 3 indices >= 2^3 - 1 = 7 are killed
-    assert quotient_reduce(ts, 3).as_dict() == {0: 1, 2: 3, 6: 2}
-    assert quotient_reduce(ts, 2).as_dict() == {0: 1, 2: 3}
 
 
 def test_functor_images_level2_golden():

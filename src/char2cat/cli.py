@@ -2,20 +2,24 @@
 
 Every subcommand handler returns a ``Report`` (the echoed command, its
 parameters, a JSON-ready result payload, and a list of named pass/fail
-checks) together with the text renderer and the CSV renderer of its
-payload; the CSV renderer is ``None`` where CSV is not defined.  Exit
-status is 0 on success, 1 when any check fails or a computation meets an
-internal inconsistency (``NotIntegral``, ``NotTiltingCharacter``), and 2 on
-usage errors (including cap violations, whose messages name the cap, and an
-``--out`` file that cannot be written).
+checks) together with the text writer and the CSV writer of its payload;
+the CSV writer is ``None`` where CSV is not defined.  Exit status is 0 on
+success, 1 when any check fails or a computation meets an internal
+inconsistency (``NotIntegral``, ``NotTiltingCharacter``), and 2 on usage
+errors (including cap violations, whose messages name the cap, and an
+``--out`` file that cannot be written).  ``run`` builds the report and its
+checks before it opens ``--out`` or writes to stdout, so a usage error
+writes nothing.
 
-JSON is written by the package's own writer, ``emit_json``, whose bytes are
-those of ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted
-keys, and every integer a decimal string, so that arbitrary-precision
-results survive any consumer.  Payloads hand it their tables as arrays
-(``int64`` matrices and ``Records``), which it writes one row at a time;
-the CSV and text renderers read the same arrays row by row.  Subsets
-appear both as sorted integer arrays and as their printed ``V_m`` index.
+JSON is written by ``emit_json``, whose bytes are those of
+``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted keys, and
+every integer a decimal string, so that arbitrary-precision results
+survive any consumer.  Payloads hand their tables to it as ``int64``
+matrices, ``writers.Records`` and ``FusionElt`` images, and the CSV and
+text writers read the same tables.  Every format goes out a block at a
+time through a ``writers.Out`` (see ``writers``); no string holds the
+whole output.  Subsets appear both as sorted integer arrays and as their
+printed ``V_m`` index.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from . import checks, cyclotomic, fusion, homology, invariants, tilting
+from . import checks, cyclotomic, fusion, homology, invariants, tilting, writers
 from .errors import Char2CatError, NotIntegral, NotTiltingCharacter
 
 __all__ = ["Report", "run", "main"]
@@ -50,18 +53,6 @@ class Report:
         return any(not c["pass"] for c in self.checks)
 
 
-@dataclass(frozen=True)
-class Records:
-    """A list of records with integer fields, held as one array: record
-    ``i`` maps ``keys[j]`` to ``rows[i, j]``."""
-
-    keys: tuple
-    rows: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 def _unjsonify(obj):
     """ASCII decimal strings back to integers: the inverse of writing
     integers as decimal strings."""
@@ -77,107 +68,15 @@ def _unjsonify(obj):
     return obj
 
 
-_INF = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_ints(values, depth: int) -> str:
-    """A list of integers at nesting ``depth``, in one ``join``."""
-    if not values:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return f'[{inner}"' + f'",{inner}"'.join(map(str, values)) + f'"{inner[:-2]}]'
-
-
-def _json_records(rec: Records, depth: int) -> str:
-    """``Records`` at nesting ``depth``: one ``%`` template per record, its
-    fields in sorted key order."""
-    if not len(rec):
-        return "[]"
-    inner, field_ = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    order = sorted(range(len(rec.keys)), key=rec.keys.__getitem__)
-    template = inner + "{" + ",".join(
-        field_ + _quote(rec.keys[j]).replace("%", "%%") + ': "%d"' for j in order
-    ) + inner + "}"
-    body = ",".join([template % tuple(r) for r in rec.rows[:, order].tolist()])
-    return f"[{body}{inner[:-2]}]"
-
-
-def _write_list(values, depth: int, out: list) -> None:
-    if not len(values):
-        out.append("[]")
-        return
-    inner = "\n" + "  " * (depth + 1)
-    sep = "[" + inner
-    for value in values:
-        out.append(sep)
-        _write_json(value, depth + 1, out)
-        sep = "," + inner
-    out.append(inner[:-2] + "]")
-
-
-def _write_json(obj, depth: int, out: list) -> None:
-    """Append ``obj`` as JSON nested ``depth`` levels deep to ``out``."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(f'"{int(obj)}"')
-    elif isinstance(obj, float):
-        out.append(_json_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = "\n" + "  " * (depth + 1)
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out.append(f"{sep}{_quote(key)}: ")  # a key that is not a str raises
-            _write_json(value, depth + 1, out)
-            sep = "," + inner
-        out.append(inner[:-2] + "}")
-    elif isinstance(obj, (list, tuple)):
-        if all(type(v) is int for v in obj):
-            out.append(_json_ints(obj, depth))
-        else:
-            _write_list(obj, depth, out)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim:
-        # a matrix is written one row at a time
-        if obj.ndim == 1:
-            out.append(_json_ints(obj.tolist(), depth))
-        else:
-            _write_list(obj, depth, out)
-    elif isinstance(obj, Records):
-        out.append(_json_records(obj, depth))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _dumps(obj) -> str:
-    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, with every
-    integer written as a decimal string."""
-    out: list = []
-    _write_json(obj, 0, out)
-    return "".join(out)
-
-
-def emit_json(report: Report) -> str:
-    return _dumps({"command": report.command, "params": report.params,
-                   "result": report.result, "checks": report.checks})
+def emit_json(report: Report, write) -> None:
+    """Hand ``report`` to ``write`` as the bytes of ``json.dumps(...,
+    indent=2, sort_keys=True)`` and a newline, every integer written as a
+    decimal string."""
+    out = writers.Out(write)
+    writers.write_json({"command": report.command, "params": report.params,
+                        "result": report.result, "checks": report.checks}, 0, out)
+    out.append("\n")
+    out.flush()
 
 
 def parse_json(text: str) -> dict:
@@ -217,8 +116,8 @@ def _matrix_payload(m: int, mat: np.ndarray) -> dict:
 
 
 # ----------------------------------------------------------------------
-# renderers: a text renderer returns the lines above the check lines, a
-# CSV renderer returns the lines of the table
+# writers: a text writer appends the lines above the check lines to a
+# ``writers.Out``, a CSV writer the lines of the table; each line ends in "\n"
 
 
 def _terms(pairs) -> str:
@@ -227,102 +126,117 @@ def _terms(pairs) -> str:
     return " + ".join(lbl if k == 1 else f"{k}*{lbl}" for lbl, k in pairs) or "0"
 
 
-def _elt_terms(entries) -> str:
-    return _terms((_v_label(e["index"]), e["coeff"]) for e in entries)
+def _elt_terms(coeffs) -> str:
+    return _terms((_v_label(mask), c) for mask, c in coeffs)
 
 
 def _tilt_terms(summands) -> str:
     return _terms((f"T{s['index']}", s["mult"]) for s in summands)
 
 
-def _text_fields(res) -> list:
-    return [f"{key}: {val}" for key, val in res.items()]
+def _text_fields(res, out: writers.Out) -> None:
+    out.extend(f"{key}: {val}\n" for key, val in res.items())
 
 
 def _csv_line(cells) -> str:
     return ",".join(map(str, cells))
 
 
-def _text_matrix(res) -> list:
+def _matrix_lines(heads, mat: np.ndarray, template: str, out: writers.Out) -> None:
+    """One line per row of ``mat``: its head, then its entries formatted by
+    the ``%d`` template."""
+    out.flush()
+    for rows, cells in writers.matrix_blocks(mat, template):
+        out.extend([head + "".join(r) + "\n" for head, r in zip(heads[rows], cells)])
+        out.flush()
+
+
+def _text_matrix(res, out: writers.Out) -> None:
     labels, mat = res["labels"], res["matrix"]
     width = max(len(lbl) for lbl in labels) + 1
     colw = max(len(c) for c in labels + [str(mat.max()), str(mat.min())]) + 1
-    row_fmt = f"%{colw + 1}d" * len(labels)
-    return [" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels)] + [
-        lbl.ljust(width) + row_fmt % tuple(row.tolist()) for lbl, row in zip(labels, mat)
-    ]
+    out.append(" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels) + "\n")
+    _matrix_lines([lbl.ljust(width) for lbl in labels], mat, f"%{colw + 1}d", out)
 
 
-def _text_ext1(res) -> list:
-    return _text_matrix(res) + [
+def _text_ext1(res, out: writers.Out) -> None:
+    _text_matrix(res, out)
+    out.append(
         "components: "
-        + "; ".join("{" + ", ".join(map(str, c)) + "}" for c in res["components"])
-    ]
+        + "; ".join("{" + ", ".join(map(str, c)) + "}" for c in res["components"]) + "\n"
+    )
 
 
-def _csv_matrix(res) -> list:
+def _csv_matrix(res, out: writers.Out) -> None:
     labels = res["labels"]
-    row_fmt = ",%d" * len(labels)
-    return [_csv_line([""] + labels)] + [
-        lbl + row_fmt % tuple(row.tolist()) for lbl, row in zip(labels, res["matrix"])
-    ]
+    out.append(_csv_line([""] + labels) + "\n")
+    _matrix_lines(labels, res["matrix"], ",%d", out)
 
 
-def _text_product(res) -> list:
-    return [
+def _text_product(res, out: writers.Out) -> None:
+    out.append(
         f"{_v_label(res['left']['index'])} * {_v_label(res['right']['index'])}"
-        f" = {_elt_terms(res['product'])}"
-    ]
+        f" = {_elt_terms((e['index'], e['coeff']) for e in res['product'])}\n"
+    )
 
 
-def _text_structure(res) -> list:
+def _record_lines(rec: writers.Records, templates, out: writers.Out) -> None:
+    out.flush()
+    for lines in writers.record_blocks(rec.rows, list(enumerate(templates))):
+        out.extend(lines)
+        out.flush()
+
+
+def _text_structure(res, out: writers.Out) -> None:
     rec = res["nonzero"]
-    return [f"level {res['level']}: {len(rec)} nonzero constants"] + [
-        "N[%d][%d][%d] = %d" % tuple(r) for r in rec.rows.tolist()
-    ]
+    out.append(f"level {res['level']}: {len(rec)} nonzero constants\n")
+    _record_lines(rec, ("N[%d]", "[%d]", "[%d]", " = %d\n"), out)
 
 
-def _csv_structure(res) -> list:
+def _csv_structure(res, out: writers.Out) -> None:
     rec = res["nonzero"]
-    row_fmt = ",".join(["%d"] * len(rec.keys))
-    return [_csv_line(rec.keys)] + [row_fmt % tuple(r) for r in rec.rows.tolist()]
+    out.append(_csv_line(rec.keys) + "\n")
+    _record_lines(rec, ["%d"] + [",%d"] * (len(rec.keys) - 2) + [",%d\n"], out)
 
 
-def _text_tilt_table(res) -> list:
-    return [f"T{row['m']} x V = {_tilt_terms(row['summands'])}" for row in res["rows"]]
+def _text_tilt_table(res, out: writers.Out) -> None:
+    out.extend(f"T{row['m']} x V = {_tilt_terms(row['summands'])}\n" for row in res["rows"])
 
 
-def _csv_tilt_table(res) -> list:
-    return ["m,index,mult"] + [
-        f"{row['m']},{s['index']},{s['mult']}" for row in res["rows"] for s in row["summands"]
-    ]
+def _csv_tilt_table(res, out: writers.Out) -> None:
+    out.append("m,index,mult\n")
+    out.extend(
+        f"{row['m']},{s['index']},{s['mult']}\n" for row in res["rows"] for s in row["summands"]
+    )
 
 
-def _text_decompose(res) -> list:
-    return [f"V^{res['power']} = {_tilt_terms(res['summands'])}"]
+def _text_decompose(res, out: writers.Out) -> None:
+    out.append(f"V^{res['power']} = {_tilt_terms(res['summands'])}\n")
 
 
-def _text_functor(res) -> list:
-    return [f"T{row['m']} -> {_elt_terms(row['image'])}" for row in res["rows"]]
+def _text_functor(res, out: writers.Out) -> None:
+    for row in res["rows"]:
+        out.append(f"T{row['m']} -> {_elt_terms(row['image'].coeffs)}\n")
+        out.spill()
 
 
-def _csv_invariants(res) -> list:
-    return [_csv_line(row) for row in [res["columns"]] + res["rows"]]
+def _csv_invariants(res, out: writers.Out) -> None:
+    out.extend(_csv_line(row) + "\n" for row in [res["columns"]] + res["rows"])
 
 
-def _text_invariants(res) -> list:
-    return [" ".join(map(str, row)) for row in [res["columns"]] + res["rows"]]
+def _text_invariants(res, out: writers.Out) -> None:
+    out.extend(" ".join(map(str, row)) + "\n" for row in [res["columns"]] + res["rows"])
 
 
-def _text_verify(res) -> list:
-    return [
+def _text_verify(res, out: writers.Out) -> None:
+    out.append(
         f"ran {res['checks_run']} checks at max level {res['max_level']}; "
-        f"{res['failures']} failure(s)"
-    ]
+        f"{res['failures']} failure(s)\n"
+    )
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (report, text renderer, CSV renderer or None)
+# handlers: each returns (report, text writer, CSV writer or None)
 
 
 def _cmd_fusion(args) -> tuple:
@@ -364,7 +278,7 @@ def _cmd_fusion(args) -> tuple:
         {
             "level": n,
             "simples": [_subset_payload(m) for m in range(1 << n)],
-            "nonzero": Records(("left", "right", "out", "coeff"),
+            "nonzero": writers.Records(("left", "right", "out", "coeff"),
                                np.column_stack([nz, tensor[tuple(nz.T)]])),
         },
     )
@@ -508,7 +422,7 @@ def _cmd_tilt(args) -> tuple:
     n = args.functor
     top = (1 << (n + 1)) - 1
     imgs = tilting.digit_images([*range(args.max_m + 1), top], n)
-    rows = [{"m": m, "image": _elt_payload(imgs[m])} for m in range(args.max_m + 1)]
+    rows = [{"m": m, "image": imgs[m]} for m in range(args.max_m + 1)]
     rep = Report("tilt", {"max_m": args.max_m, "functor": n},
                  {"level": n, "max_m": args.max_m, "rows": rows})
     rep.add_check(
@@ -573,20 +487,21 @@ def _cmd_verify(args) -> tuple:
     return rep, _text_verify, None
 
 
-def _render(report: Report, fmt: str, text, csv) -> str:
+def _render(report: Report, fmt: str, text, csv, write) -> None:
     if fmt == "json":
-        return emit_json(report) + "\n"
+        emit_json(report, write)
+        return
+    out = writers.Out(write)
     if fmt == "csv":
-        if csv is None:
-            raise ValueError(f"--format csv is not defined for this {report.command} mode")
-        return "\n".join(csv(report.result)) + "\n"
-    lines = text(report.result)
-    for c in report.checks:
-        lines.append(
+        csv(report.result, out)
+    else:
+        text(report.result, out)
+        out.extend(
             f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}"
-            + (f" - {c['detail']}" if c["detail"] else "")
+            + (f" - {c['detail']}" if c["detail"] else "") + "\n"
+            for c in report.checks
         )
-    return "\n".join(lines) + "\n"
+    out.flush()
 
 
 # ----------------------------------------------------------------------
@@ -680,23 +595,25 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         report, to_text, to_csv = _DISPATCH[args.command](args)
-        text = _render(report, args.format, to_text, to_csv)
+        if args.format == "csv" and to_csv is None:
+            raise ValueError(f"--format csv is not defined for this {report.command} mode")
     except (NotIntegral, NotTiltingCharacter) as exc:  # an internal inconsistency
         print(f"char2cat: internal error: {exc}", file=sys.stderr)
         return 1
     except (Char2CatError, ValueError) as exc:
         print(f"char2cat: error: {exc}", file=sys.stderr)
         return 2
+    render = functools.partial(_render, report, args.format, to_text, to_csv)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                render(fh.write)
         except OSError as exc:
             reason = exc.strerror or exc
             print(f"char2cat: error: cannot write --out {args.out}: {reason}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        render(sys.stdout.write)
     return 1 if report.failed else 0
 
 

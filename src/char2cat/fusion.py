@@ -170,7 +170,11 @@ def _gen_mul_terms(i: int, mask: int, n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def gen_mul(i: int, mask: int, n: int) -> FusionElt:
-    """Product of the ``i``-th generator class with the basis class ``mask``."""
+    """Product of the ``i``-th generator class with the basis class ``mask``.
+
+    The cache is unbounded but finite: a key has ``1 <= i <= n``, ``mask <
+    2^n`` and ``n <= RING_LEVEL_CAP``, so it holds at most the sum over
+    ``n <= 12`` of ``n * 2^n`` entries, 90114."""
     check_level(n)
     if not 1 <= i <= n:
         raise GeneratorOutOfRange(f"generator {i} outside 1..{n}")

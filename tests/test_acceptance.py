@@ -354,17 +354,55 @@ def test_criterion_12_verify_cap():
 
 # The child reports its own VmHWM: on Linux ``ru_maxrss`` keeps, across
 # exec, the peak of the process that started the child, here the test run.
+# The child hashes its ``--out`` file after the timed run.
 _CAP_CHILD = """
-import sys, time
+import hashlib, sys, time
 from char2cat import cli, fusion, tilting
 t0 = time.perf_counter()
 code = cli.run(sys.argv[2:] + ["--out", sys.argv[1]])
 elapsed = time.perf_counter() - t0
 with open("/proc/self/status") as fh:
     peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+with open(sys.argv[1], "rb") as fh:
+    digest = hashlib.file_digest(fh, "sha256").hexdigest()
 print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize,
-      fusion.gen_mul.cache_info().currsize)
+      fusion.gen_mul.cache_info().currsize, digest)
 """
+
+# The sha256 of each cap output, recorded before the table writers streamed
+# their rows: the bytes are part of the contract.
+_CAP_DIGESTS = {
+    "cartan --index 25":
+        "4c691acb9769a872aac66671257ee5671d61f80a99cf827a2d1bdc1367dcbf3e",
+    "cartan --index 25 --format csv":
+        "62214ad15edc1f71c597ada48ded7085fa8c5a65e7f41da798970f2519489d08",
+    "cartan --index 25 --format text":
+        "49d544a391eb5a0d88ed1656dd95e104b34fd06f0ca469ba570bae6dd652d5bb",
+    "fusion --level 8":
+        "fda88e3b6d07250b76dc738adc6722e8a780bdb6892e56104bc9757e97b7105b",
+    "tilt --functor 12 --max-m 2047":
+        "dc6fd8f4732fd40218d168d0e190f92ee0d696bf8c952caa0f6a415a93a54855",
+    "tilt --table --max-m 2047":
+        "82ca81b0ffe42bf28fb03a6fc2b5a420ca59441688552c21e660a907f951d8ee",
+    "tilt --decompose 2047":
+        "03e3e58ba18800e11df7189914bdc64c25eb787b0f4fceb490588c711d02082f",
+    "ext1 --index 25 --format json":
+        "9d72d59606b04f15e025a451780cc6a2cf52e930b661cb0f13788edcd87be614",
+    "ext1 --index 25 --format csv":
+        "d80bb6c7add9fa00c79f62e5683d640cb1c72e2a176b0e20a9836e962ff7042c",
+    "ext1 --index 25 --format text":
+        "08c8a2941315ecf3a47502a63c7c2da0c7b95a02572acfa350a7efc971181ad9",
+    "invariants --level 8 --max-m 256 --route all":
+        "8a195aa99f369c5701876bd6a3352a85192b884a6fb34906b277be2141fa69b4",
+    "fpdim --category --level 25 --format json":
+        "86248ea8c90ca6badb3b9ef4d62387c60fe9ac3880fa1dee183a9ddae8c6bd55",
+    "fpdim --category --level 25 --format text":
+        "2a017db2b5662342d1729f1e8da518ffb931f02c5951d00e48da2b0f49f36b87",
+    "minpoly --level 12 --format json":
+        "bc4d757c02e81b4fd3172baae5469da4deb20d330ca4c63dea7d75b7df1ee525",
+    "minpoly --level 12 --format text":
+        "7438f1e9e308cc8f387d3b2990e3626a4373e03163a9fab0bbdb94426d2a4e7c",
+}
 
 
 def _report_checks(path):
@@ -384,7 +422,8 @@ def _cli_in_child(argv):
     cache starts cold and the peak RSS is the command's own.  Returns the
     exit code, the seconds inside ``cli.run``, the peak RSS in MB, the
     report's checks (``None`` unless the output is JSON) and the numbers of
-    entries left in the ``tilt_char`` and ``gen_mul`` caches."""
+    entries left in the ``tilt_char`` and ``gen_mul`` caches.  The sha256
+    of the output must be the one recorded in ``_CAP_DIGESTS``."""
     import os
     import subprocess
     import tempfile
@@ -399,29 +438,35 @@ def _cli_in_child(argv):
             [sys.executable, "-c", _CAP_CHILD, str(out), *argv],
             capture_output=True, text=True, env=env, check=True,
         )
-        code, elapsed, peak_kb, *cached = proc.stdout.split()
+        code, elapsed, peak_kb, *cached, digest = proc.stdout.split()
+        assert digest == _CAP_DIGESTS[" ".join(argv)], argv
         is_json = "--format" not in argv or argv[argv.index("--format") + 1] == "json"
         report_checks = _report_checks(out) if is_json else None
         return (int(code), float(elapsed), int(peak_kb) / 1024, report_checks,
                 tuple(map(int, cached)))
 
 
-@criterion("13 cartan --index 25 <25s, <1.5GB and fusion --level 8 <10s, <600MB "
-           "(json) cold via cli.run")
+@criterion("13 cartan --index 25 json, csv and text <8s, <600MB and fusion --level 8 "
+           "json <7s, <600MB cold via cli.run, bytes as recorded")
 def test_criterion_13_tables_at_caps():
     from char2cat.fusion import STRUCTURE_LEVEL_CAP
 
+    cartan_checks = ["symmetric", "nonzero-entries-are-powers-of-two"]
+    index = str(CATEGORY_INDEX_CAP)
     for argv, names, budget_s, budget_mb in (
-        (["cartan", "--index", str(CATEGORY_INDEX_CAP)],
-         ["symmetric", "nonzero-entries-are-powers-of-two"], 25.0, 1500),
+        (["cartan", "--index", index], cartan_checks, 8.0, 600),
+        (["cartan", "--index", index, "--format", "csv"], None, 8.0, 600),
+        (["cartan", "--index", index, "--format", "text"], None, 8.0, 600),
         (["fusion", "--level", str(STRUCTURE_LEVEL_CAP)],
          ["nonzero-coefficients-are-powers-of-two", "iteration-matches-level-recursion"],
-         10.0, 600),
+         7.0, 600),
     ):
         code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
+        # csv and text carry no checks: exit code 0 means every check passed
         assert code == 0, argv
-        assert [c["name"] for c in report_checks] == names, argv
-        assert all(c["pass"] for c in report_checks), argv
+        if names:
+            assert [c["name"] for c in report_checks] == names, argv
+            assert all(c["pass"] for c in report_checks), argv
         assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
         assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
 
@@ -430,9 +475,9 @@ def test_criterion_13_tables_at_caps():
 # 14. the tilt commands at their caps, printed through the CLI
 
 
-@criterion("14 tilt --functor 12 --max-m 2047 <20s, <1.7GB, --table --max-m 2047 <0.25s, "
+@criterion("14 tilt --functor 12 --max-m 2047 <3.5s, <200MB, --table --max-m 2047 <0.25s, "
            "<170MB, --decompose 2047 <5s, <160MB (json) cold via cli.run, "
-           "no tilt_char or gen_mul cached")
+           "no tilt_char or gen_mul cached, bytes as recorded")
 def test_criterion_14_tilt_at_caps():
     from char2cat.cyclotomic import RING_LEVEL_CAP
     from char2cat.tilting import TILT_INDEX_CAP
@@ -440,7 +485,7 @@ def test_criterion_14_tilt_at_caps():
     index = str(TILT_INDEX_CAP)
     for argv, names, budget_s, budget_mb in (
         (["tilt", "--functor", str(RING_LEVEL_CAP), "--max-m", index],
-         ["kills-first-index-above-quotient"], 20.0, 1700),
+         ["kills-first-index-above-quotient"], 3.5, 200),
         (["tilt", "--table", "--max-m", index], ["top-summand-multiplicity-one"], 0.25, 170),
         (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 5.0, 160),
     ):
@@ -459,11 +504,11 @@ def test_criterion_14_tilt_at_caps():
 # 15. the Ext1 table at its cap, printed through the CLI in every format
 
 
-@criterion("15 ext1 --index 25 json <25s, <1.5GB, csv <12s, <900MB, text <20s, <1.4GB "
-           "cold via cli.run")
+@criterion("15 ext1 --index 25 json, csv and text <7s, <850MB cold via cli.run, "
+           "bytes as recorded")
 def test_criterion_15_ext1_at_cap():
     for fmt, budget_s, budget_mb in (
-        ("json", 25.0, 1500), ("csv", 12.0, 900), ("text", 20.0, 1400),
+        ("json", 7.0, 850), ("csv", 7.0, 850), ("text", 7.0, 850),
     ):
         argv = ["ext1", "--index", str(CATEGORY_INDEX_CAP), "--format", fmt]
         code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
@@ -483,7 +528,7 @@ def test_criterion_15_ext1_at_cap():
 
 
 @criterion("16 invariants --level 8 (INVARIANTS_LEVEL_CAP) --max-m 256 (SERIES_ORDER_CAP) "
-           "--route all cold via cli.run, <1s, <150MB")
+           "--route all cold via cli.run, <1s, <150MB, bytes as recorded")
 def test_criterion_16_invariants_at_caps():
     from char2cat.invariants import INVARIANTS_LEVEL_CAP, SERIES_ORDER_CAP
 
@@ -502,7 +547,7 @@ def test_criterion_16_invariants_at_caps():
 
 
 @criterion("17 fpdim --category --level 25 (CATEGORY_INDEX_CAP) json and text "
-           "cold via cli.run, <8s, <250MB")
+           "cold via cli.run, <8s, <250MB, bytes as recorded")
 def test_criterion_17_total_dimension_at_cap():
     for fmt in ("json", "text"):
         argv = ["fpdim", "--category", "--level", str(CATEGORY_INDEX_CAP), "--format", fmt]
@@ -521,7 +566,7 @@ def test_criterion_17_total_dimension_at_cap():
 
 
 @criterion("18 minpoly --level 12 (RING_LEVEL_CAP) json and text "
-           "cold via cli.run, <2.5s, <175MB")
+           "cold via cli.run, <2.5s, <175MB, bytes as recorded")
 def test_criterion_18_min_poly_at_cap():
     from char2cat.cyclotomic import RING_LEVEL_CAP
 

@@ -2,10 +2,13 @@
 exit codes, and the verification suite's determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import char2cat
 import char2cat.cli as cli
-from char2cat import checks, cyclotomic, fusion, homology, invariants, tilting
+from char2cat import checks, cyclotomic, fusion, homology, invariants, tilting, writers
 from char2cat.cli import parse_json, run
 from char2cat.errors import NotIntegral
 
@@ -113,6 +116,12 @@ def test_json_schema_keys(capsys):
         assert set(check) == {"name", "pass", "detail"}
 
 
+def _emitted(report) -> str:
+    buf = io.StringIO()
+    cli.emit_json(report, buf.write)
+    return buf.getvalue()
+
+
 def test_json_roundtrip_fixed_point(capsys):
     for argv in (
         ["cartan", "--index", "6"],
@@ -121,10 +130,11 @@ def test_json_roundtrip_fixed_point(capsys):
         ["fpdim", "--level", "3", "--simple", "6"],
         ["fpdim", "--level", "5", "--category"],
         ["tilt", "--max-m", "4", "--table"],
+        ["tilt", "--functor", "3", "--max-m", "9"],
         ["invariants", "--level", "2", "--max-m", "4"],
     ):
         _, out, _ = _run(capsys, argv)
-        assert cli.emit_json(cli.Report(**parse_json(out))) + "\n" == out, argv
+        assert _emitted(cli.Report(**parse_json(out))) == out, argv
 
 
 def test_parse_json_restores_only_ascii_decimal_strings():
@@ -136,7 +146,8 @@ def test_parse_json_restores_only_ascii_decimal_strings():
 
 def _reference_jsonify(obj):
     """The payload copy the JSON writer replaced, with arrays read as the
-    nested lists payloads used to carry."""
+    nested lists and fusion elements as the lists of records payloads used
+    to carry."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -149,6 +160,12 @@ def _reference_jsonify(obj):
         return [_reference_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _reference_jsonify(obj.tolist())
+    if isinstance(obj, fusion.FusionElt):
+        return _reference_jsonify([
+            {"coeff": c, "index": mask,
+             "subset": [j + 1 for j in range(mask.bit_length()) if mask >> j & 1]}
+            for mask, c in obj.coeffs
+        ])
     return obj
 
 
@@ -156,7 +173,50 @@ def _reference_json(obj) -> str:
     return json.dumps(_reference_jsonify(obj), indent=2, sort_keys=True)
 
 
+@contextlib.contextmanager
+def _block(entries):
+    """Tables written ``entries`` entries per block."""
+    saved, writers._BLOCK = writers._BLOCK, entries
+    try:
+        yield
+    finally:
+        writers._BLOCK = saved
+
+
+# block sizes that cut the small tables below at every row, mid-table, and
+# not at all
+_BLOCKS = (1, 5, writers._BLOCK)
+
+
+def _written(writer, *args) -> str:
+    """What ``writer(*args, out)`` hands to its output."""
+    buf = io.StringIO()
+    out = writers.Out(buf.write)
+    writer(*args, out)
+    out.flush()
+    return buf.getvalue()
+
+
+def _dumps(obj) -> str:
+    """``obj`` through the JSON writer at every block size of ``_BLOCKS``,
+    which must agree."""
+    texts = set()
+    for entries in _BLOCKS:
+        with _block(entries):
+            texts.add(_written(writers.write_json, obj, 0))
+    assert len(texts) == 1
+    return texts.pop()
+
+
 _INT64 = st.integers(-(2**63), 2**63 - 1)
+_MATRICES = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=_INT64)
+)
+_FUSION_ELTS = st.integers(0, 4).flatmap(
+    lambda n: st.dictionaries(st.integers(0, (1 << n) - 1),
+                              st.integers(-(2**70), 2**70), max_size=6)
+    .map(lambda coeffs: fusion.fusion_elt(n, coeffs))
+)
 _JSON_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -168,7 +228,10 @@ _JSON_LEAVES = st.one_of(
     st.text(),
     st.text(st.characters(max_codepoint=0x1F)),
     st.lists(st.one_of(st.integers(), st.booleans())),
-    st.integers(0, 6).flatmap(lambda n: arrays(np.int64, (n, n), elements=_INT64)),
+    _MATRICES,
+    st.sampled_from([np.zeros((0, 0), np.int64), np.zeros((3, 0), np.int64),
+                     np.array([[2**63 - 1, -(2**63), 0, -1]])]),
+    _FUSION_ELTS,
 )
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
@@ -184,24 +247,46 @@ _JSON_TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_TREES)
 def test_json_writer_matches_reference_encoder(obj):
-    assert cli._dumps(obj) == _reference_json(obj)
+    assert _dumps(obj) == _reference_json(obj)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_INT64, _INT64, _INT64, _INT64), max_size=12))
 def test_json_writer_records_match_list_of_dicts(rows):
     keys = ("left", "right", "out", "coeff")
-    rec = cli.Records(keys, np.array(rows, dtype=np.int64).reshape(-1, 4))
+    rec = writers.Records(keys, np.array(rows, dtype=np.int64).reshape(-1, 4))
     dicts = [dict(zip(keys, r)) for r in rows]
     for nest in (lambda x: x, lambda x: [x], lambda x: {"level": 3, "nonzero": x}):
-        assert cli._dumps(nest(rec)) == _reference_json(nest(dicts))
+        assert _dumps(nest(rec)) == _reference_json(nest(dicts))
     res = {"level": 3, "nonzero": rec}
-    assert cli._text_structure(res)[1:] == [
-        f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}" for e in dicts
+    for entries in _BLOCKS:
+        with _block(entries):
+            assert _written(cli._text_structure, res).splitlines()[1:] == [
+                f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}" for e in dicts
+            ]
+            assert _written(cli._csv_structure, res).splitlines() == [",".join(keys)] + [
+                ",".join(str(e[k]) for k in keys) for e in dicts
+            ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: arrays(np.int64, (n, n), elements=_INT64)))
+def test_matrix_text_and_csv_match_row_formats(mat):
+    labels = [f"V_{s}" for s in range(len(mat))]
+    res = {"labels": labels, "matrix": mat}
+    width = max(len(lbl) for lbl in labels) + 1
+    colw = max(len(c) for c in labels + [str(mat.max()), str(mat.min())]) + 1
+    text = [" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels)] + [
+        lbl.ljust(width) + f"%{colw + 1}d" * len(row) % tuple(row)
+        for lbl, row in zip(labels, mat.tolist())
     ]
-    assert cli._csv_structure(res) == [",".join(keys)] + [
-        ",".join(str(e[k]) for k in keys) for e in dicts
+    csv = [",".join([""] + labels)] + [
+        ",".join([lbl, *map(str, row)]) for lbl, row in zip(labels, mat.tolist())
     ]
+    for entries in _BLOCKS:
+        with _block(entries):
+            assert _written(cli._text_matrix, res) == "\n".join(text) + "\n"
+            assert _written(cli._csv_matrix, res) == "\n".join(csv) + "\n"
 
 
 def test_json_writer_refuses_what_json_refuses():
@@ -209,11 +294,29 @@ def test_json_writer_refuses_what_json_refuses():
         with pytest.raises(TypeError):
             json.dumps(_reference_jsonify(bad))
         with pytest.raises(TypeError):
-            cli._dumps([bad])
-    # payloads carry only string keys and integer arrays
-    for bad in ({1: "x"}, np.zeros((2, 2))):
+            _dumps([bad])
+    # payloads carry only string keys and integer matrices
+    for bad in ({1: "x"}, np.zeros((2, 2)), np.arange(3)):
         with pytest.raises(TypeError):
-            cli._dumps(bad)
+            _dumps(bad)
+
+
+def test_tables_are_written_a_row_block_at_a_time(monkeypatch):
+    mat = homology.cartan(13)
+    rows_per_block = writers._BLOCK // mat.shape[1]
+    assert 1 < rows_per_block < len(mat)
+    for fmt in ("json", "csv", "text"):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        assert run(["cartan", "--index", "13", "--format", fmt]) == 0
+        monkeypatch.undo()
+        whole = "".join(writes)
+        # a JSON row spans a line per entry and two for its brackets
+        lines_per_row = mat.shape[1] + 2 if fmt == "json" else 1
+        line = max(len(text) for text in whole.splitlines()) + 1
+        assert len(writes) >= len(mat) // rows_per_block, fmt
+        assert max(map(len, writes)) <= rows_per_block * lines_per_row * line + 1, fmt
+        assert max(map(len, writes)) < len(whole), fmt
 
 
 def test_csv_header_row_uses_v_labels(capsys):

@@ -37,7 +37,11 @@ def _sample(corpus, *words):
 
 def test_gate_catches_a_changed_json_indent(corpus, monkeypatch):
     emit = cli.emit_json
-    monkeypatch.setattr(cli, "emit_json", lambda report: emit(report).replace("\n  ", "\n   "))
+
+    def wider(report, write):
+        emit(report, lambda text: write(text.replace("\n  ", "\n   ")))
+
+    monkeypatch.setattr(cli, "emit_json", wider)
     keys = _sample(corpus, "cartan", "json")
     assert _mismatches(corpus, keys) == sorted(keys)
 

@@ -73,6 +73,28 @@ def test_cartan_symmetric_power_of_two_entries():
             assert iv == 0 or iv & (iv - 1) == 0
 
 
+def test_table_checks_see_a_fault_in_the_last_row_block():
+    car = cartan(19)  # 512 x 512: four compared blocks
+    assert len(checks.row_slices(car, checks._COMPARE_BLOCK)) == 4
+    assert checks.symmetric(car) and checks.nonzero_powers_of_two(car)
+    for entry, value, symmetric, powers in (
+        ((511, 500), car[511, 500] + 2, False, True),  # one asymmetric entry
+        ((511, 511), 3, True, False),  # one entry that is no power of two
+        ((511, 511), -2, True, False),  # one negative entry
+    ):
+        bad = car.copy()
+        bad[entry] = value
+        assert checks.symmetric(bad) is symmetric, (entry, value)
+        assert checks.nonzero_powers_of_two(bad) is powers, (entry, value)
+    # the fusion tensor is cut along its first axis the same way
+    tensor = np.ones((256, 32, 32), dtype=np.int64)
+    assert len(checks.row_slices(tensor, checks._COMPARE_BLOCK)) == 4
+    assert checks.nonzero_powers_of_two(tensor)
+    tensor[-1, -1, -1] = 6
+    assert not checks.nonzero_powers_of_two(tensor)
+    assert not checks.symmetric(np.zeros((2, 3), dtype=np.int64))
+
+
 def test_cartan_is_read_only():
     with pytest.raises(ValueError):
         cartan(5)[0, 0] = 99

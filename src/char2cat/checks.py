@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
+from .writers import COMPARE_BLOCK, row_slices
 
-__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "row_slices", "symmetric", "nonzero_powers_of_two",
+__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "symmetric", "nonzero_powers_of_two",
            "dickson_coeffs", "min_poly_matches_dickson",
            "total_dimension_matches_closed_form", "expected_component_count"]
 
@@ -24,31 +25,20 @@ VERIFY_LEVEL_CAP = 8
 
 
 # ----------------------------------------------------------------------
-# predicates shared with the command checks
-
-
-#: Entries per compared block: the predicates below compare row blocks, so
-#: no temporary is the size of a table at the index cap.
-_COMPARE_BLOCK = 1 << 16
-
-
-def row_slices(arr: np.ndarray, entries: int) -> list[slice]:
-    """Slices cutting ``arr`` along its first axis into blocks of about
-    ``entries`` entries, each at least one row."""
-    step = max(1, entries * len(arr) // max(1, arr.size))
-    return [slice(lo, lo + step) for lo in range(0, len(arr), step)]
+# predicates shared with the command checks; they compare row blocks of
+# ``COMPARE_BLOCK`` entries
 
 
 def symmetric(mat: np.ndarray) -> bool:
     return mat.shape == mat.T.shape and all(
         np.array_equal(mat[rows], mat[:, rows].T)
-        for rows in row_slices(mat, _COMPARE_BLOCK)
+        for rows in row_slices(mat, COMPARE_BLOCK)
     )
 
 
 def nonzero_powers_of_two(arr: np.ndarray) -> bool:
     """Every nonzero entry is a positive power of two."""
-    for rows in row_slices(arr, _COMPARE_BLOCK):
+    for rows in row_slices(arr, COMPARE_BLOCK):
         vals = arr[rows]
         vals = vals[vals != 0]
         if not ((vals > 0) & ((vals & (vals - 1)) == 0)).all():

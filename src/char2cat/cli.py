@@ -92,14 +92,9 @@ def _v_label(mask: int) -> str:
     return f"V_{mask}"
 
 
-# the masks reaching the two payload builders were validated by a FusionElt
+# the masks reaching this payload builder were validated by a FusionElt
 def _subset_payload(mask: int) -> dict:
     return {"index": mask, "subset": fusion.mask_subset(mask)}
-
-
-def _elt_payload(elt: fusion.FusionElt) -> list:
-    return [{"index": mask, "subset": fusion.mask_subset(mask), "coeff": c}
-            for mask, c in elt.coeffs]
 
 
 def _cyc_payload(e: cyclotomic.CycInt) -> dict:
@@ -145,10 +140,8 @@ def _csv_line(cells) -> str:
 def _matrix_lines(heads, mat: np.ndarray, template: str, out: writers.Out) -> None:
     """One line per row of ``mat``: its head, then its entries formatted by
     the ``%d`` template."""
-    out.flush()
-    for rows, cells in writers.matrix_blocks(mat, template):
-        out.extend([head + "".join(r) + "\n" for head, r in zip(heads[rows], cells)])
-        out.flush()
+    out.blocks([head + "".join(r) + "\n" for head, r in zip(heads[rows], cells)]
+               for rows, cells in writers.matrix_blocks(mat, template))
 
 
 def _text_matrix(res, out: writers.Out) -> None:
@@ -176,15 +169,12 @@ def _csv_matrix(res, out: writers.Out) -> None:
 def _text_product(res, out: writers.Out) -> None:
     out.append(
         f"{_v_label(res['left']['index'])} * {_v_label(res['right']['index'])}"
-        f" = {_elt_terms((e['index'], e['coeff']) for e in res['product'])}\n"
+        f" = {_elt_terms(res['product'].coeffs)}\n"
     )
 
 
 def _record_lines(rec: writers.Records, templates, out: writers.Out) -> None:
-    out.flush()
-    for lines in writers.record_blocks(rec.rows, list(enumerate(templates))):
-        out.extend(lines)
-        out.flush()
+    out.blocks(writers.record_blocks(rec.rows, list(enumerate(templates))))
 
 
 def _text_structure(res, out: writers.Out) -> None:
@@ -254,7 +244,7 @@ def _cmd_fusion(args) -> tuple:
                 "level": n,
                 "left": _subset_payload(args.left),
                 "right": _subset_payload(args.right),
-                "product": _elt_payload(prod),
+                "product": prod,
             },
         )
         oracle = cyclotomic.to_d_basis(fusion.fpdim(a) * fusion.fpdim(b))

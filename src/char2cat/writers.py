@@ -20,13 +20,19 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from . import checks, fusion
+from . import fusion
 
-__all__ = ["Out", "Records", "write_json", "matrix_blocks", "record_blocks"]
+__all__ = ["Out", "Records", "write_json", "matrix_blocks", "record_blocks",
+           "row_slices", "COMPARE_BLOCK"]
 
 #: Entries of a table written per block: one row of the Cartan matrix at
 #: the index cap, 32 rows at index 13.
 _BLOCK = 1 << 11
+
+#: Entries per sorted or compared block: a table's distinct values and the
+#: table checks go a row block at a time, so no temporary is the size of a
+#: table at the index cap.
+COMPARE_BLOCK = 1 << 16
 
 #: Pending pieces of output that are written out together.
 _PENDING = 1 << 10
@@ -51,7 +57,6 @@ class Out(list):
     def __init__(self, write):
         super().__init__()
         self.write = write
-        self.masks: dict = {}  # (depth, mask) -> JSON fragment of a basis class
 
     def flush(self) -> None:
         if self:
@@ -61,6 +66,21 @@ class Out(list):
     def spill(self) -> None:
         if len(self) >= _PENDING:
             self.flush()
+
+    def blocks(self, blocks) -> None:
+        """Write what is pending, then each of ``blocks``, a list of
+        pieces, with one ``write``."""
+        self.flush()
+        for pieces in blocks:
+            self.extend(pieces)
+            self.flush()
+
+
+def row_slices(arr: np.ndarray, entries: int) -> list[slice]:
+    """Slices cutting ``arr`` along its first axis into blocks of about
+    ``entries`` entries, each at least one row."""
+    step = max(1, entries * len(arr) // max(1, arr.size))
+    return [slice(lo, lo + step) for lo in range(0, len(arr), step)]
 
 
 _INF = float("inf")
@@ -101,7 +121,7 @@ def _distinct(arr: np.ndarray) -> np.ndarray:
     sorted one at a time, so no temporary is the size of ``arr``
     (``np.unique`` would also import ``numpy.ma``)."""
     parts = [_sorted_distinct(np.sort(arr[rows], axis=None))
-             for rows in checks.row_slices(arr, 1 << 16)]
+             for rows in row_slices(arr, COMPARE_BLOCK)]
     return _sorted_distinct(np.sort(np.concatenate(parts))) if parts else arr.ravel()
 
 
@@ -116,7 +136,7 @@ def matrix_blocks(mat: np.ndarray, template: str):
     """``(rows, cells)`` per row block of an integer matrix: the slice of
     its rows, and those rows as lists of their entries' strings."""
     distinct, table = _formatted(mat, template)
-    for rows in checks.row_slices(mat, _BLOCK):
+    for rows in row_slices(mat, _BLOCK):
         yield rows, table[np.searchsorted(distinct, mat[rows])].tolist()
 
 
@@ -125,7 +145,7 @@ def record_blocks(rows: np.ndarray, columns):
     for each ``(j, template)`` of ``columns`` in turn, its column ``j``
     entry formatted by ``template``."""
     tables = [(j, *_formatted(rows[:, j], template)) for j, template in columns]
-    for span in checks.row_slices(rows, _BLOCK):
+    for span in row_slices(rows, _BLOCK):
         block = rows[span]
         joined = None
         for j, distinct, table in tables:
@@ -137,12 +157,7 @@ def record_blocks(rows: np.ndarray, columns):
 def _json_blocks(blocks, depth: int, out: Out) -> None:
     """A nonempty list at nesting ``depth`` from blocks of its items' JSON,
     each item starting with its own newline and indent; a block per write."""
-    sep = "["
-    out.flush()
-    for items in blocks:
-        out.append(sep + ",".join(items))
-        out.flush()
-        sep = ","
+    out.blocks(["," if k else "[", ",".join(items)] for k, items in enumerate(blocks))
     out.append("\n" + "  " * depth + "]")
 
 
@@ -171,15 +186,15 @@ def _json_records(rec: Records, depth: int, out: Out) -> None:
     _json_blocks(record_blocks(rec.rows, list(zip(order, templates))), depth, out)
 
 
-def _json_elt(elt: fusion.FusionElt, depth: int, out: Out) -> None:
+def _json_elt(elt: fusion.FusionElt, depth: int, out: Out, frags: dict) -> None:
     """A ``FusionElt`` as the list of its ``coeff``, ``index`` and ``subset``
-    records.  The index and subset of a mask form one fragment, built once
-    per output; the coefficient is written in front of it."""
+    records.  The index and subset of a mask form one fragment, kept in
+    ``frags`` by depth and mask; the coefficient is written in front of it."""
     if elt.is_zero:
         out.append("[]")
         return
     inner, field_ = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    head, frags = f'{inner}{{{field_}"coeff": "', out.masks
+    head = f'{inner}{{{field_}"coeff": "'
     entries = []
     for mask, c in elt.coeffs:
         frag = frags.get((depth, mask))
@@ -196,7 +211,7 @@ def _json_elt(elt: fusion.FusionElt, depth: int, out: Out) -> None:
 # JSON
 
 
-def _write_list(values, depth: int, out: Out) -> None:
+def _write_list(values, depth: int, out: Out, frags: dict) -> None:
     if not len(values):
         out.append("[]")
         return
@@ -204,7 +219,7 @@ def _write_list(values, depth: int, out: Out) -> None:
     sep = "[" + inner
     for value in values:
         out.append(sep)
-        write_json(value, depth + 1, out)
+        _write(value, depth + 1, out, frags)
         out.spill()
         sep = "," + inner
     out.append(inner[:-2] + "]")
@@ -212,6 +227,12 @@ def _write_list(values, depth: int, out: Out) -> None:
 
 def write_json(obj, depth: int, out: Out) -> None:
     """Append ``obj`` as JSON nested ``depth`` levels deep to ``out``."""
+    _write(obj, depth, out, {})
+
+
+def _write(obj, depth: int, out: Out, frags: dict) -> None:
+    """``write_json``, with ``frags`` the fragments of the basis classes
+    that its ``FusionElt`` images share (see ``_json_elt``)."""
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif obj is None:
@@ -232,20 +253,20 @@ def write_json(obj, depth: int, out: Out) -> None:
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             out.append(f"{sep}{_quote(key)}: ")  # a key that is not a str raises
-            write_json(value, depth + 1, out)
+            _write(value, depth + 1, out, frags)
             sep = "," + inner
         out.append(inner[:-2] + "}")
     elif isinstance(obj, (list, tuple)):
         if all(type(v) is int for v in obj):
             out.append(_json_ints(obj, depth))
         else:
-            _write_list(obj, depth, out)
+            _write_list(obj, depth, out, frags)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim == 2:
         _json_matrix(obj, depth, out)
     elif isinstance(obj, Records):
         _json_records(obj, depth, out)
     elif isinstance(obj, fusion.FusionElt):
-        _json_elt(obj, depth, out)
+        _json_elt(obj, depth, out, frags)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -363,10 +363,12 @@ code = cli.run(sys.argv[2:] + ["--out", sys.argv[1]])
 elapsed = time.perf_counter() - t0
 with open("/proc/self/status") as fh:
     peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+sha = hashlib.sha256()
 with open(sys.argv[1], "rb") as fh:
-    digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        sha.update(chunk)
 print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize,
-      fusion.gen_mul.cache_info().currsize, digest)
+      fusion.gen_mul.cache_info().currsize, sha.hexdigest())
 """
 
 # The sha256 of each cap output, recorded before the table writers streamed

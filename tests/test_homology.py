@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from char2cat import checks
+from char2cat import checks, writers
 from char2cat.cyclotomic import CycInt, embed, to_d_basis
 from char2cat.errors import LevelTooLarge, SubsetOutOfRange
 from char2cat.homology import (
@@ -75,7 +75,7 @@ def test_cartan_symmetric_power_of_two_entries():
 
 def test_table_checks_see_a_fault_in_the_last_row_block():
     car = cartan(19)  # 512 x 512: four compared blocks
-    assert len(checks.row_slices(car, checks._COMPARE_BLOCK)) == 4
+    assert len(writers.row_slices(car, writers.COMPARE_BLOCK)) == 4
     assert checks.symmetric(car) and checks.nonzero_powers_of_two(car)
     for entry, value, symmetric, powers in (
         ((511, 500), car[511, 500] + 2, False, True),  # one asymmetric entry
@@ -88,7 +88,7 @@ def test_table_checks_see_a_fault_in_the_last_row_block():
         assert checks.nonzero_powers_of_two(bad) is powers, (entry, value)
     # the fusion tensor is cut along its first axis the same way
     tensor = np.ones((256, 32, 32), dtype=np.int64)
-    assert len(checks.row_slices(tensor, checks._COMPARE_BLOCK)) == 4
+    assert len(writers.row_slices(tensor, writers.COMPARE_BLOCK)) == 4
     assert checks.nonzero_powers_of_two(tensor)
     tensor[-1, -1, -1] = 6
     assert not checks.nonzero_powers_of_two(tensor)

@@ -95,9 +95,9 @@ def clear_caches() -> None:
     ``cyclotomic.min_poly`` holds the whole tower (``RING_LEVEL_CAP + 1``
     levels), ``homology.cartan`` and ``homology.ext1_matrix`` the last index
     asked for, ``tilting.tilt_char`` up to 64 characters (the checks read
-    42) and ``cli.build_parser`` the one parser; ``fusion.gen_mul`` and
-    ``fusion.generator_matrix`` are unbounded, filled only within the caps
-    of the commands that read them."""
+    42) and ``cli.build_parser`` the one parser; ``fusion.gen_mul`` alone
+    is unbounded, filled only within the caps of the commands that read
+    it."""
     for name, mod in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(mod).values():

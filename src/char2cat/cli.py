@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Every subcommand handler returns a ``Report`` (the echoed command, its
-parameters, a JSON-ready result payload, and a list of named pass/fail
-checks) together with the text writer and the CSV writer of its payload;
-the CSV writer is ``None`` where CSV is not defined.  Exit status is 0 on
+One table, ``COMMANDS``, declares every subcommand: its help text, its
+arguments and its ``Mode``s.  The parser, the mode choice, the caps, the
+CSV refusal and the dispatch are all read from it.  ``run`` picks the
+mode, checks its caps in order with ``cyclotomic.check_level`` (one
+wording for every negative or oversized value, naming the cap), refuses
+an undefined CSV, and only then calls the handler, which fills the
+``Report``: the echoed command and parameters, the payload, and named
+pass/fail checks.  So every usage error comes before any work, and
+nothing is written before the report is complete.  Exit status is 0 on
 success, 1 when any check fails or a computation meets an internal
 inconsistency (``NotIntegral``, ``NotTiltingCharacter``), and 2 on usage
-errors (including cap violations, whose messages name the cap, and an
-``--out`` file that cannot be written).  ``run`` builds the report and its
-checks before it opens ``--out`` or writes to stdout, so a usage error
-writes nothing.
+errors, an unwritable ``--out`` included.
 
 JSON is written by ``emit_json``, whose bytes are those of
 ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted keys, and
@@ -28,6 +30,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +45,7 @@ __all__ = ["Report", "run", "main"]
 class Report:
     command: str
     params: dict
-    result: object
+    result: object = None
     checks: list = field(default_factory=list)
 
     def add_check(self, name: str, passed: bool, detail: str = "") -> None:
@@ -102,12 +105,7 @@ def _cyc_payload(e: cyclotomic.CycInt) -> dict:
 
 
 def _matrix_payload(m: int, mat: np.ndarray) -> dict:
-    size = mat.shape[0]
-    return {
-        "index": m,
-        "labels": [_v_label(s) for s in range(size)],
-        "matrix": mat,
-    }
+    return {"index": m, "labels": [_v_label(s) for s in range(len(mat))], "matrix": mat}
 
 
 # ----------------------------------------------------------------------
@@ -226,52 +224,34 @@ def _text_verify(res, out: writers.Out) -> None:
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (report, text writer, CSV writer or None)
+# handlers: each adds its checks to the report and returns its payload
 
 
-def _cmd_fusion(args) -> tuple:
+def _product(args, rep: Report) -> dict:
     n = args.level
-    if (args.left is None) != (args.right is None):
-        raise ValueError("--left and --right must be given together")
-    if args.left is not None:
-        a = fusion.simple_elt(n, args.left)
-        b = fusion.simple_elt(n, args.right)
-        prod = fusion.product(a, b)
-        rep = Report(
-            "fusion",
-            {"level": n, "left": args.left, "right": args.right},
-            {
-                "level": n,
-                "left": _subset_payload(args.left),
-                "right": _subset_payload(args.right),
-                "product": prod,
-            },
-        )
-        oracle = cyclotomic.to_d_basis(fusion.fpdim(a) * fusion.fpdim(b))
-        rep.add_check(
-            "product-matches-dimension-oracle",
-            prod.as_dict() == {m: v for m, v in enumerate(oracle) if v},
-            "coefficients equal the exact dimension-ring expansion",
-        )
-        rep.add_check(
-            "coefficients-nonnegative",
-            all(c >= 0 for _, c in prod.coeffs),
-            "a product of basis classes has nonnegative coefficients",
-        )
-        return rep, _text_product, None
+    a = fusion.simple_elt(n, args.left)
+    b = fusion.simple_elt(n, args.right)
+    prod = fusion.product(a, b)
+    oracle = cyclotomic.to_d_basis(fusion.fpdim(a) * fusion.fpdim(b))
+    rep.add_check(
+        "product-matches-dimension-oracle",
+        prod.as_dict() == {m: v for m, v in enumerate(oracle) if v},
+        "coefficients equal the exact dimension-ring expansion",
+    )
+    rep.add_check(
+        "coefficients-nonnegative",
+        all(c >= 0 for _, c in prod.coeffs),
+        "a product of basis classes has nonnegative coefficients",
+    )
+    return {"level": n, "left": _subset_payload(args.left),
+            "right": _subset_payload(args.right), "product": prod}
+
+
+def _structure(args, rep: Report) -> dict:
+    n = args.level
     tensor = fusion.structure_tensor(n)
     recursion = fusion._structure_from_recursion(n)
     nz = np.argwhere(tensor != 0)
-    rep = Report(
-        "fusion",
-        {"level": n},
-        {
-            "level": n,
-            "simples": [_subset_payload(m) for m in range(1 << n)],
-            "nonzero": writers.Records(("left", "right", "out", "coeff"),
-                               np.column_stack([nz, tensor[tuple(nz.T)]])),
-        },
-    )
     rep.add_check(
         "nonzero-coefficients-are-powers-of-two",
         checks.nonzero_powers_of_two(tensor),
@@ -281,211 +261,145 @@ def _cmd_fusion(args) -> tuple:
         "iteration-matches-level-recursion", np.array_equal(tensor, recursion),
         "generator iteration and level recursion compared entrywise",
     )
-    return rep, _text_structure, _csv_structure
+    return {"level": n, "simples": [_subset_payload(m) for m in range(1 << n)],
+            "nonzero": writers.Records(("left", "right", "out", "coeff"),
+                                       np.column_stack([nz, tensor[tuple(nz.T)]]))}
 
 
-def _cmd_cartan(args) -> tuple:
+def _cartan(args, rep: Report) -> dict:
     mat = homology.cartan(args.index)
-    rep = Report("cartan", {"index": args.index}, _matrix_payload(args.index, mat))
     rep.add_check("symmetric", checks.symmetric(mat), "Cartan matrices are symmetric")
     rep.add_check(
         "nonzero-entries-are-powers-of-two",
         checks.nonzero_powers_of_two(mat),
         f"{np.count_nonzero(mat)} nonzero entries",
     )
-    return rep, _text_matrix, _csv_matrix
+    return _matrix_payload(args.index, mat)
 
 
-def _cmd_ext1(args) -> tuple:
+def _ext1(args, rep: Report) -> dict:
     m = args.index
     mat = homology.ext1_matrix(m)
     comps = homology.block_components(m)
-    payload = _matrix_payload(m, mat)
-    payload["components"] = [list(c) for c in comps]
-    rep = Report("ext1", {"index": m}, payload)
     rep.add_check("symmetric", checks.symmetric(mat), "")
     rep.add_check("entries-are-zero-or-one", bool(((mat == 0) | (mat == 1)).all()), "")
     rep.add_check(
         "component-count", len(comps) == checks.expected_component_count(m),
         f"{len(comps)} connected component(s) in the Ext/Cartan graph",
     )
-    return rep, _text_ext1, _csv_matrix
+    return {**_matrix_payload(m, mat), "components": [list(c) for c in comps]}
 
 
-def _cmd_fpdim(args) -> tuple:
-    modes = [args.simple is not None, args.category, args.algebra]
-    if sum(modes) != 1:
-        raise ValueError("choose exactly one of --simple, --category, --algebra")
-    if args.simple is not None:
-        n = args.level
-        val = fusion.fpdim(fusion.simple_elt(n, args.simple))
-        rep = Report(
-            "fpdim",
-            {"level": n, "simple": args.simple},
-            {"level": n, "simple": _subset_payload(args.simple),
-             **_cyc_payload(val)},
-        )
-        conj = cyclotomic.conjugate_floats(val)
-        rep.add_check(
-            "float-is-largest-conjugate",
-            abs(conj[0]) >= max(abs(c) for c in conj) - 1e-9 and conj[0] > 0,
-            "the dimension dominates its conjugates in absolute value",
-        )
-        return rep, _text_fields, None
-    if args.category:
-        m = args.level  # with --category the value is the chain index
-        val = homology.category_fpdim(m)
-        rep = Report(
-            "fpdim",
-            {"level": m, "category": True},
-            {
-                "index": m,
-                "ring_level": val.level,
-                "numerator_power_coeffs": list(val.coeffs),
-                "denominator": 1,  # total dimensions are algebraic integers
-                "float": val.to_float(),
-            },
-        )
-        rep.add_check(
-            "projective-sum-matches-closed-form",
-            checks.total_dimension_matches_closed_form(m, val),
-            "the projective sum and the closed form compared exactly",
-        )
-        return rep, _text_fields, None
+def _simple_fpdim(args, rep: Report) -> dict:
+    n = args.level
+    val = fusion.fpdim(fusion.simple_elt(n, args.simple))
+    conj = cyclotomic.conjugate_floats(val)
+    rep.add_check(
+        "float-is-largest-conjugate",
+        abs(conj[0]) >= max(abs(c) for c in conj) - 1e-9 and conj[0] > 0,
+        "the dimension dominates its conjugates in absolute value",
+    )
+    return {"level": n, "simple": _subset_payload(args.simple), **_cyc_payload(val)}
+
+
+def _category_fpdim(args, rep: Report) -> dict:
+    m = args.level  # with --category the value is the chain index
+    val = homology.category_fpdim(m)
+    rep.add_check(
+        "projective-sum-matches-closed-form",
+        checks.total_dimension_matches_closed_form(m, val),
+        "the projective sum and the closed form compared exactly",
+    )
+    return {"index": m, "ring_level": val.level, "numerator_power_coeffs": list(val.coeffs),
+            "denominator": 1,  # total dimensions are algebraic integers
+            "float": val.to_float()}
+
+
+def _algebra_fpdim(args, rep: Report) -> dict:
     n = args.level
     val = homology.algebra_fpdim(n)
-    rep = Report(
-        "fpdim",
-        {"level": n, "algebra": True},
-        {"level": n, **_cyc_payload(val)},
-    )
     sq = cyclotomic.CycInt.delta(n + 1) ** 2
     rep.add_check(
         "equals-square-of-next-generator",
         cyclotomic.embed(val, n + 1) == sq,
         "embedded value equals the squared generator one level up",
     )
-    return rep, _text_fields, None
+    return {"level": n, **_cyc_payload(val)}
 
 
-def _cmd_tilt(args) -> tuple:
-    modes = [args.table, args.decompose is not None, args.functor is not None]
-    if sum(modes) != 1:
-        raise ValueError("choose exactly one of --table, --decompose, --functor")
-    if args.decompose is not None:
-        cyclotomic.check_level(args.decompose, tilting.TILT_INDEX_CAP, "tensor power",
-                               cap_name="TILT_INDEX_CAP")
-    else:
-        cyclotomic.check_level(args.max_m, tilting.TILT_INDEX_CAP, "tilt index",
-                               cap_name="TILT_INDEX_CAP")
-    if args.functor is not None:
-        cyclotomic.check_level(args.functor, what="functor level")
-    if args.table:
-        rows = []
-        lead_ok = True
-        for m, row in enumerate(tilting.tensor_v_rows(args.max_m)):
-            rows.append({
-                "m": m,
-                "summands": [{"index": i, "mult": row[i]} for i in sorted(row, reverse=True)],
-            })
-            lead_ok = lead_ok and row.get(m + 1) == 1
-        rep = Report("tilt", {"max_m": args.max_m, "table": True},
-                     {"max_m": args.max_m, "rows": rows})
-        rep.add_check(
-            "top-summand-multiplicity-one", lead_ok,
-            "each tensor-by-degree-1 row contains the next index exactly once",
-        )
-        return rep, _text_tilt_table, _csv_tilt_table
-    if args.decompose is not None:
-        r = args.decompose
-        ts = tilting.tensor_power_decompose(r)
-        rep = Report(
-            "tilt", {"decompose": r},
-            {"power": r,
-             "summands": [{"index": i, "mult": k} for i, k in ts.entries]},
-        )
-        rep.add_check(
-            "total-dimension-is-2^r", ts.dim() == 1 << r,
-            f"dimension {ts.dim()}",
-        )
-        return rep, _text_decompose, None
+def _tilt_table(args, rep: Report) -> dict:
+    table = tilting.tensor_v_rows(args.max_m)
+    rep.add_check(
+        "top-summand-multiplicity-one", all(row.get(m + 1) == 1 for m, row in enumerate(table)),
+        "each tensor-by-degree-1 row contains the next index exactly once",
+    )
+    return {"max_m": args.max_m, "rows": [
+        {"m": m, "summands": [{"index": i, "mult": row[i]} for i in sorted(row, reverse=True)]}
+        for m, row in enumerate(table)]}
+
+
+def _decompose(args, rep: Report) -> dict:
+    r = args.decompose
+    ts = tilting.tensor_power_decompose(r)
+    rep.add_check("total-dimension-is-2^r", ts.dim() == 1 << r, f"dimension {ts.dim()}")
+    return {"power": r, "summands": [{"index": i, "mult": k} for i, k in ts.entries]}
+
+
+def _functor(args, rep: Report) -> dict:
     n = args.functor
     top = (1 << (n + 1)) - 1
     imgs = tilting.digit_images([*range(args.max_m + 1), top], n)
-    rows = [{"m": m, "image": imgs[m]} for m in range(args.max_m + 1)]
-    rep = Report("tilt", {"max_m": args.max_m, "functor": n},
-                 {"level": n, "max_m": args.max_m, "rows": rows})
     rep.add_check(
         "kills-first-index-above-quotient", imgs[-1].is_zero,
         f"index {top} maps to zero at level {n}",
     )
-    return rep, _text_functor, None
+    return {"level": n, "max_m": args.max_m,
+            "rows": [{"m": m, "image": imgs[m]} for m in range(args.max_m + 1)]}
 
 
-def _cmd_invariants(args) -> tuple:
+def _invariants(args, rep: Report) -> dict:
     n, top = args.level, args.max_m
-    if n < 0:
-        raise ValueError(f"--level must be nonnegative, got {n}")
-    if top < 0:
-        raise ValueError(f"--max-m must be nonnegative, got {top}")
-    cyclotomic.check_level(n, invariants.INVARIANTS_LEVEL_CAP, "invariants level",
-                           cap_name="INVARIANTS_LEVEL_CAP")
-    cyclotomic.check_level(top, invariants.SERIES_ORDER_CAP, "--max-m",
-                           cap_name="SERIES_ORDER_CAP")
     routes = list(invariants.ROUTES) if args.route == "all" else [args.route]
     columns = [invariants.ROUTES[r](n, top) for r in routes]
     rows = [[m, *values] for m, values in enumerate(zip(*columns))]
-    rep = Report(
-        "invariants",
-        {"level": n, "max_m": top, "route": args.route},
-        {"level": n, "max_m": top, "columns": ["m"] + routes, "rows": rows},
-    )
     if len(routes) > 1:
         agree = all(len(set(row[1:])) == 1 for row in rows)
         rep.add_check("routes-agree", agree, f"{len(routes)} routes over m <= {top}")
-    return rep, _text_invariants, _csv_invariants
+    return {"level": n, "max_m": top, "columns": ["m"] + routes, "rows": rows}
 
 
-def _cmd_minpoly(args) -> tuple:
+def _minpoly(args, rep: Report) -> dict:
     n = args.level
     poly = cyclotomic.min_poly(n)
-    rep = Report(
-        "minpoly", {"level": n},
-        {"level": n, "degree": poly.degree, "coeffs": list(poly.coeffs),
-         "root_float": cyclotomic.delta_float(n)},
-    )
     if n >= 1:
         rep.add_check(
             "composition-step", checks.min_poly_matches_dickson(n),
             "the x^2 - 2 composition tower equals the Dickson polynomial D_(2^n)",
         )
-    return rep, _text_fields, None
+    return {"level": n, "degree": poly.degree, "coeffs": list(poly.coeffs),
+            "root_float": cyclotomic.delta_float(n)}
 
 
-def _cmd_verify(args) -> tuple:
-    cyclotomic.check_level(args.max_level, checks.VERIFY_LEVEL_CAP, "verify level",
-                           cap_name="VERIFY_LEVEL_CAP")
-    rep = Report("verify", {"max_level": args.max_level}, {"max_level": args.max_level})
+def _verify(args, rep: Report) -> dict:
     for name, check in sorted(checks.CHECKS.items()):
         try:
             passed, detail = check(args.max_level)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         rep.add_check(name, passed, detail)
-    rep.result["checks_run"] = len(rep.checks)
-    rep.result["failures"] = sum(not c["pass"] for c in rep.checks)
-    return rep, _text_verify, None
+    return {"max_level": args.max_level, "checks_run": len(rep.checks),
+            "failures": sum(not c["pass"] for c in rep.checks)}
 
 
-def _render(report: Report, fmt: str, text, csv, write) -> None:
+def _render(report: Report, fmt: str, mode: Mode, write) -> None:
     if fmt == "json":
         emit_json(report, write)
         return
     out = writers.Out(write)
     if fmt == "csv":
-        csv(report.result, out)
+        mode.csv(report.result, out)
     else:
-        text(report.result, out)
+        mode.text(report.result, out)
         out.extend(
             f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}"
             + (f" - {c['detail']}" if c["detail"] else "") + "\n"
@@ -495,7 +409,117 @@ def _render(report: Report, fmt: str, text, csv, write) -> None:
 
 
 # ----------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table: argument parsing, mode choice, caps and dispatch
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One mode of a subcommand.  ``flags`` are the arguments that select
+    it (none for the default mode); ``caps`` are ``(argument, what, cap,
+    cap name)``, checked in order before any work; ``handler(args, report)``
+    adds the checks and returns the payload, which ``text`` and ``csv``
+    write (``csv`` is ``None`` where CSV is not defined).  The report echoes
+    the flags, the capped arguments and ``echo``."""
+
+    handler: Callable
+    text: Callable
+    csv: Callable | None = None
+    flags: tuple = ()
+    caps: tuple = ()
+    echo: tuple = ()
+
+    def params(self, args) -> dict:
+        names = dict.fromkeys([*self.flags, *(cap[0] for cap in self.caps), *self.echo])
+        return {name: getattr(args, name) for name in names}
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    args: dict  # option -> add_argument keywords
+    modes: tuple
+
+
+_RING_LEVEL = ("level", "level", cyclotomic.RING_LEVEL_CAP, "RING_LEVEL_CAP")
+_CHAIN_INDEX = ("index", "chain index", homology.CATEGORY_INDEX_CAP, "CATEGORY_INDEX_CAP")
+_TILT_INDEX = ("max_m", "tilt index", tilting.TILT_INDEX_CAP, "TILT_INDEX_CAP")
+
+COMMANDS = {
+    "fusion": Command(
+        "products and structure constants of the fusion ring",
+        {"--level": dict(type=int, required=True),
+         "--left": dict(type=int, help="left class as its printed index"),
+         "--right": dict(type=int, help="right class as its printed index")},
+        (Mode(_product, _text_product, flags=("left", "right"), caps=(_RING_LEVEL,)),
+         Mode(_structure, _text_structure, _csv_structure,
+              caps=(("level", "structure-tensor level", fusion.STRUCTURE_LEVEL_CAP,
+                     "STRUCTURE_LEVEL_CAP"),))),
+    ),
+    "cartan": Command(
+        "Cartan matrix of a chain member",
+        {"--index": dict(type=int, required=True)},
+        (Mode(_cartan, _text_matrix, _csv_matrix, caps=(_CHAIN_INDEX,)),),
+    ),
+    "ext1": Command(
+        "first-extension matrix and block components",
+        {"--index": dict(type=int, required=True)},
+        (Mode(_ext1, _text_ext1, _csv_matrix, caps=(_CHAIN_INDEX,)),),
+    ),
+    "fpdim": Command(
+        "exact dimension values",
+        {"--level": dict(type=int, required=True,
+                         help="ring level; with --category, the chain index"),
+         "--simple": dict(type=int, help="dimension of one basis class"),
+         "--category": dict(action="store_true", help="total dimension of the chain member"),
+         "--algebra": dict(action="store_true",
+                           help="dimension of the level-raising algebra object")},
+        (Mode(_simple_fpdim, _text_fields, flags=("simple",), caps=(_RING_LEVEL,)),
+         Mode(_category_fpdim, _text_fields, flags=("category",),
+              caps=(("level", "chain index", homology.CATEGORY_INDEX_CAP,
+                     "CATEGORY_INDEX_CAP"),)),
+         Mode(_algebra_fpdim, _text_fields, flags=("algebra",),
+              caps=(("level", "algebra level", cyclotomic.RING_LEVEL_CAP - 1,
+                     "RING_LEVEL_CAP-1"),))),
+    ),
+    "tilt": Command(
+        "tilting character calculus",
+        {"--max-m": dict(type=int, default=30),
+         "--table": dict(action="store_true", help="tensor-by-degree-1 decomposition table"),
+         "--decompose": dict(type=int, metavar="R",
+                             help="decompose the R-th tensor power of the degree-1 module"),
+         "--functor": dict(type=int, metavar="N",
+                           help="images of the indecomposables in the level-N fusion ring")},
+        (Mode(_tilt_table, _text_tilt_table, _csv_tilt_table, flags=("table",),
+              caps=(_TILT_INDEX,)),
+         Mode(_decompose, _text_decompose, flags=("decompose",),
+              caps=(("decompose", "tensor power", tilting.TILT_INDEX_CAP, "TILT_INDEX_CAP"),)),
+         Mode(_functor, _text_functor, flags=("functor",),
+              caps=(_TILT_INDEX, ("functor", "functor level", cyclotomic.RING_LEVEL_CAP,
+                                  "RING_LEVEL_CAP")))),
+    ),
+    "invariants": Command(
+        "invariant dimensions by multiple routes",
+        {"--level": dict(type=int, required=True),
+         "--max-m": dict(type=int, required=True),
+         "--route": dict(choices=(*invariants.ROUTES, "all"), default="all")},
+        (Mode(_invariants, _text_invariants, _csv_invariants, echo=("route",),
+              caps=(("level", "invariants level", invariants.INVARIANTS_LEVEL_CAP,
+                     "INVARIANTS_LEVEL_CAP"),
+                    ("max_m", "--max-m", invariants.SERIES_ORDER_CAP, "SERIES_ORDER_CAP"))),),
+    ),
+    "minpoly": Command(
+        "minimal polynomial of the ring generator",
+        {"--level": dict(type=int, required=True)},
+        (Mode(_minpoly, _text_fields, caps=(_RING_LEVEL,)),),
+    ),
+    "verify": Command(
+        "run the cross-check suite",
+        {"--max-level": dict(type=int, default=4)},
+        (Mode(_verify, _text_verify,
+              caps=(("max_level", "verify level", checks.VERIFY_LEVEL_CAP,
+                     "VERIFY_LEVEL_CAP"),)),),
+    ),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -516,84 +540,56 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fusion", parents=[common],
-                       help="products and structure constants of the fusion ring")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--left", type=int, help="left class as its printed index")
-    p.add_argument("--right", type=int, help="right class as its printed index")
-
-    p = sub.add_parser("cartan", parents=[common], help="Cartan matrix of a chain member")
-    p.add_argument("--index", type=int, required=True)
-
-    p = sub.add_parser("ext1", parents=[common],
-                       help="first-extension matrix and block components")
-    p.add_argument("--index", type=int, required=True)
-
-    p = sub.add_parser("fpdim", parents=[common], help="exact dimension values")
-    p.add_argument("--level", type=int, required=True,
-                   help="ring level; with --category, the chain index")
-    p.add_argument("--simple", type=int, help="dimension of one basis class")
-    p.add_argument("--category", action="store_true",
-                   help="total dimension of the chain member")
-    p.add_argument("--algebra", action="store_true",
-                   help="dimension of the level-raising algebra object")
-
-    p = sub.add_parser("tilt", parents=[common], help="tilting character calculus")
-    p.add_argument("--max-m", type=int, default=30)
-    p.add_argument("--table", action="store_true",
-                   help="tensor-by-degree-1 decomposition table")
-    p.add_argument("--decompose", type=int, metavar="R",
-                   help="decompose the R-th tensor power of the degree-1 module")
-    p.add_argument("--functor", type=int, metavar="N",
-                   help="images of the indecomposables in the level-N fusion ring")
-
-    p = sub.add_parser("invariants", parents=[common],
-                       help="invariant dimensions by multiple routes")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--route", choices=(*invariants.ROUTES, "all"),
-                   default="all")
-
-    p = sub.add_parser("minpoly", parents=[common],
-                       help="minimal polynomial of the ring generator")
-    p.add_argument("--level", type=int, required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="run the cross-check suite")
-    p.add_argument("--max-level", type=int, default=4)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=cmd.help)
+        for option, kwargs in cmd.args.items():
+            p.add_argument(option, **kwargs)
     return parser
 
 
-_DISPATCH = {
-    "fusion": _cmd_fusion,
-    "cartan": _cmd_cartan,
-    "ext1": _cmd_ext1,
-    "fpdim": _cmd_fpdim,
-    "tilt": _cmd_tilt,
-    "invariants": _cmd_invariants,
-    "minpoly": _cmd_minpoly,
-    "verify": _cmd_verify,
-}
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _pick_mode(args) -> Mode:
+    """The mode of ``args.command`` whose flags are given, else its default
+    mode; a flag given as 0 counts as given."""
+    modes = COMMANDS[args.command].modes
+    picked = []
+    for mode in modes:
+        given = sum(getattr(args, f) is not None and getattr(args, f) is not False
+                    for f in mode.flags)
+        if 0 < given < len(mode.flags):
+            raise ValueError(" and ".join(map(_option, mode.flags)) + " must be given together")
+        if given:
+            picked.append(mode)
+    picked = picked or [mode for mode in modes if not mode.flags]
+    if len(picked) != 1:
+        flags = ", ".join(_option(f) for mode in modes for f in mode.flags)
+        raise ValueError(f"choose exactly one of {flags}")
+    return picked[0]
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        report, to_text, to_csv = _DISPATCH[args.command](args)
-        if args.format == "csv" and to_csv is None:
-            raise ValueError(f"--format csv is not defined for this {report.command} mode")
+        mode = _pick_mode(args)
+        for name, what, cap, cap_name in mode.caps:
+            cyclotomic.check_level(getattr(args, name), cap, what, cap_name)
+        if args.format == "csv" and mode.csv is None:
+            raise ValueError(f"--format csv is not defined for this {args.command} mode")
+        report = Report(args.command, mode.params(args))
+        report.result = mode.handler(args, report)
     except (NotIntegral, NotTiltingCharacter) as exc:  # an internal inconsistency
         print(f"char2cat: internal error: {exc}", file=sys.stderr)
         return 1
     except (Char2CatError, ValueError) as exc:
         print(f"char2cat: error: {exc}", file=sys.stderr)
         return 2
-    render = functools.partial(_render, report, args.format, to_text, to_csv)
+    render = functools.partial(_render, report, args.format, mode)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

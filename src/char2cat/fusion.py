@@ -206,16 +206,15 @@ def product(a: FusionElt, b: FusionElt) -> FusionElt:
     return fusion_elt(n, out)
 
 
-@lru_cache(maxsize=None)
 def generator_matrix(i: int, n: int) -> np.ndarray:
     """Matrix of multiplication by the ``i``-th generator; columns are
-    ``gen_mul(i, mask, n)``."""
+    ``gen_mul(i, mask, n)``, built afresh on each call from the cached
+    columns."""
     size = 1 << n
     mat = np.zeros((size, size), dtype=np.int64)
     for mask in range(size):
         for m2, c in gen_mul(i, mask, n).coeffs:
             mat[m2, mask] = c
-    mat.setflags(write=False)
     return mat
 
 

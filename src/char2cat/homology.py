@@ -37,7 +37,7 @@ from .cyclotomic import (
     d_cos_matrix,
     embed,
 )
-from .errors import LevelTooLarge, SubsetOutOfRange
+from .errors import SubsetOutOfRange
 
 __all__ = [
     "CATEGORY_INDEX_CAP",
@@ -55,13 +55,7 @@ CATEGORY_INDEX_CAP = 2 * RING_LEVEL_CAP + 1
 
 def _check_index(m: int) -> int:
     """Validate a chain index and return the ring level ``m // 2``."""
-    if m < 0:
-        raise ValueError(f"chain index must be nonnegative, got {m}")
-    if m > CATEGORY_INDEX_CAP:
-        raise LevelTooLarge(
-            f"chain index {m} exceeds the cap CATEGORY_INDEX_CAP={CATEGORY_INDEX_CAP}"
-        )
-    return m // 2
+    return check_level(m, CATEGORY_INDEX_CAP, "chain index", "CATEGORY_INDEX_CAP") // 2
 
 
 def _doubling(m: int, base: tuple[int, int], odd_blocks) -> np.ndarray:

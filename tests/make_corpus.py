@@ -109,6 +109,7 @@ def _usage_errors() -> list[list[str]]:
         ["fpdim", "--level", "2", "--simple", "4"], ["fpdim", "--level", "2", "--simple", "-1"],
         ["tilt"], ["tilt", "--table", "--decompose", "2"],
         ["tilt", "--decompose", "2", "--functor", "2"],
+        ["tilt", "--decompose", "3", "--max-m", "5000"],  # --max-m is not read, so not capped
         ["invariants", "--level", "1", "--max-m", "2", "--route", "x"],
         ["verify", "--max-level", "x"],
     ]
@@ -119,6 +120,9 @@ def _usage_errors() -> list[list[str]]:
         ["fpdim", "--level", "2", "--algebra"], ["tilt", "--decompose", "3"],
         ["tilt", "--functor", "2", "--max-m", "4"], ["minpoly", "--level", "2"],
         ["verify", "--max-level", "1"],
+        # which usage error wins: a bad bitmask, a cap, a CSV-less mode at a valid pair
+        ["fpdim", "--level", "2", "--simple", "4"], ["verify", "--max-level", "9"],
+        ["fusion", "--level", "3", "--left", "0", "--right", "0"],
     )]
     # caps and negative values
     argvs += [

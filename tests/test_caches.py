@@ -50,8 +50,6 @@ def test_min_poly_cache_holds_the_whole_tower():
 UNBOUNDED = {
     "char2cat.fusion.gen_mul":
         "one FusionElt per (generator, mask, level) that a product meets",
-    "char2cat.fusion.generator_matrix":
-        "one matrix per (generator, level); both routes of a structure tensor read it",
 }
 
 # Each bounded cache and its bound.

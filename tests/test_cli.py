@@ -355,12 +355,25 @@ def test_csv_defined_exactly_for_tables(mode, capsys):
         assert "csv" in err
 
 
+def _mode(argv) -> cli.Mode:
+    """The table's mode that ``argv`` selects."""
+    return cli._pick_mode(cli.build_parser().parse_args(argv))
+
+
+def test_modes_match_the_command_table_one_to_one():
+    picked = [_mode(argv) for argv in MODES.values()]
+    table = [mode for cmd in cli.COMMANDS.values() for mode in cmd.modes]
+    assert len(set(map(id, picked))) == len(picked) == len(table)
+    assert set(map(id, picked)) == set(map(id, table))
+    assert {name for name in MODES if _mode(MODES[name]).csv} == CSV_MODES
+
+
 def test_every_subcommand_has_a_handler_and_a_text_renderer(capsys):
     sub = next(
         a for a in cli.build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
-    assert set(sub.choices) == set(cli._DISPATCH) == {a[0] for a in MODES.values()}
+    assert set(sub.choices) == set(cli.COMMANDS) == {a[0] for a in MODES.values()}
     for argv in MODES.values():
         code, out, _ = _run(capsys, argv + ["--format", "text"])
         assert code == 0 and out.strip(), argv
@@ -423,40 +436,56 @@ def test_usage_error_on_bad_choice(capsys):
     assert "--route" in err
 
 
-def test_cap_violations_name_the_cap(capsys):
-    code, _, err = _run(capsys, ["cartan", "--index", "99"])
-    assert code == 2 and "CATEGORY_INDEX_CAP" in err
-    code, _, err = _run(capsys, ["fusion", "--level", "9"])
-    assert code == 2 and "STRUCTURE_LEVEL_CAP" in err
-    code, _, err = _run(capsys, ["minpoly", "--level", "40"])
-    assert code == 2 and "RING_LEVEL_CAP" in err
-    over_order = str(invariants.SERIES_ORDER_CAP + 1)
-    over_inv_level = str(invariants.INVARIANTS_LEVEL_CAP + 1)
-    for route in ("recursion", "paths", "series", "all"):
-        for argv, name in (
-            (["--level", "1", "--max-m", over_order], "SERIES_ORDER_CAP"),
-            (["--level", over_inv_level, "--max-m", "1"], "INVARIANTS_LEVEL_CAP"),
-        ):
-            code, out, err = _run(capsys, ["invariants", *argv, "--route", route])
-            assert code == 2 and name in err and out == "", (route, argv)
-    code, _, err = _run(capsys, ["verify", "--max-level", "9"])
-    assert code == 2 and "VERIFY_LEVEL_CAP" in err
-    code, _, err = _run(capsys, ["verify", "--max-level", "-1"])
-    assert code == 2 and "verify level" in err
-    over_index = str(tilting.TILT_INDEX_CAP + 1)
-    over_level = str(cyclotomic.RING_LEVEL_CAP + 1)
+def _with(argv, name, value):
+    """``argv`` with the option of argument ``name`` set to ``value``."""
+    option = "--" + name.replace("_", "-")
+    if option in argv:
+        i = argv.index(option) + 1
+        return [*argv[:i], str(value), *argv[i + 1:]]
+    return [*argv, option, str(value)]
+
+
+# hand-picked violations, each with what its message names
+_CAP_CASES = [
+    (["cartan", "--index", "99"], "CATEGORY_INDEX_CAP"),
+    (["fusion", "--level", "9"], "STRUCTURE_LEVEL_CAP"),
+    (["minpoly", "--level", "40"], "RING_LEVEL_CAP"),
+    (["verify", "--max-level", "9"], "VERIFY_LEVEL_CAP"),
+    (["verify", "--max-level", "-1"], "verify level"),
+    (["tilt", "--table", "--max-m", str(tilting.TILT_INDEX_CAP + 1)], "TILT_INDEX_CAP"),
+    (["tilt", "--decompose", str(tilting.TILT_INDEX_CAP + 1)], "TILT_INDEX_CAP"),
+    (["tilt", "--functor", "2", "--max-m", str(tilting.TILT_INDEX_CAP + 1)], "TILT_INDEX_CAP"),
+    (["tilt", "--functor", str(cyclotomic.RING_LEVEL_CAP + 1), "--max-m", "1"],
+     "RING_LEVEL_CAP"),
+    (["tilt", "--table", "--max-m", "-3"], "tilt index"),
+    (["tilt", "--decompose", "-1"], "tensor power"),
+    (["tilt", "--functor", "3", "--max-m", "-1"], "tilt index"),
+    (["tilt", "--functor", "-1", "--max-m", "1"], "functor level"),
+] + [
+    (["invariants", *argv, "--route", route], name)
+    for route in ("recursion", "paths", "series", "all")
     for argv, name in (
-        (["tilt", "--table", "--max-m", over_index], "TILT_INDEX_CAP"),
-        (["tilt", "--decompose", over_index], "TILT_INDEX_CAP"),
-        (["tilt", "--functor", "2", "--max-m", over_index], "TILT_INDEX_CAP"),
-        (["tilt", "--functor", over_level, "--max-m", "1"], "RING_LEVEL_CAP"),
-        (["tilt", "--table", "--max-m", "-3"], "tilt index"),
-        (["tilt", "--decompose", "-1"], "tensor power"),
-        (["tilt", "--functor", "3", "--max-m", "-1"], "tilt index"),
-        (["tilt", "--functor", "-1", "--max-m", "1"], "functor level"),
-    ):
+        (["--level", "1", "--max-m", str(invariants.SERIES_ORDER_CAP + 1)], "SERIES_ORDER_CAP"),
+        (["--level", str(invariants.INVARIANTS_LEVEL_CAP + 1), "--max-m", "1"],
+         "INVARIANTS_LEVEL_CAP"),
+    )
+]
+
+
+def test_cap_violations_name_the_cap(capsys):
+    cases = list(_CAP_CASES)
+    for argv in MODES.values():
+        for name, what, cap, cap_name in _mode(argv).caps:
+            cases += [
+                (_with(argv, name, cap + 1),
+                 f"char2cat: error: {what} {cap + 1} exceeds the cap {cap_name}={cap}\n"),
+                (_with(argv, name, -1),
+                 f"char2cat: error: {what} must be a nonnegative integer, got -1\n"),
+            ]
+    assert all(_mode(argv).caps for argv in MODES.values())
+    for argv, named in cases:
         code, out, err = _run(capsys, argv)
-        assert code == 2 and name in err and out == "", argv
+        assert code == 2 and out == "" and named in err, argv
     for argv in (["fpdim", "--level", "-1", "--simple", "0"],
                  ["fusion", "--level", "-1", "--left", "0", "--right", "0"]):
         code, out, err = _run(capsys, argv)
@@ -469,7 +498,8 @@ def test_negative_invariants_order_is_a_usage_error(capsys, route):
     code, out, err = _run(
         capsys, ["invariants", "--level", "1", "--max-m", "-1", "--route", route]
     )
-    assert code == 2 and out == "" and "--max-m must be nonnegative" in err
+    assert code == 2 and out == ""
+    assert err == "char2cat: error: --max-m must be a nonnegative integer, got -1\n"
 
 
 @pytest.mark.parametrize("route", ["recursion", "paths", "series", "all"])
@@ -478,7 +508,7 @@ def test_negative_invariants_level_is_a_usage_error(capsys, route):
         capsys, ["invariants", "--level", "-2", "--max-m", "3", "--route", route]
     )
     assert code == 2 and out == ""
-    assert err == "char2cat: error: --level must be nonnegative, got -2\n"
+    assert err == "char2cat: error: invariants level must be a nonnegative integer, got -2\n"
 
 
 def test_inconsistent_tensor_table_exits_one(monkeypatch, capsys):
@@ -573,7 +603,7 @@ def test_python_m_runs_the_cli(module):
     assert proc.returncode == 2
     assert "char2cat: error: the following arguments are required: command" in proc.stderr
     assert proc.stderr.startswith("usage: char2cat")
-    for command in cli._DISPATCH:
+    for command in cli.COMMANDS:
         assert command in proc.stderr
 
 

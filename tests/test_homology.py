@@ -110,6 +110,12 @@ def test_cartan_index_cap_named():
         cartan(CATEGORY_INDEX_CAP + 1)
 
 
+def test_negative_chain_index_has_the_shared_wording():
+    for fn in (cartan, ext1_matrix, category_fpdim):
+        with pytest.raises(LevelTooLarge, match="chain index must be a nonnegative integer"):
+            fn(-1)
+
+
 # ----------------------------------------------------------------------
 # first-extension dimensions
 

@@ -25,13 +25,10 @@ from .cyclotomic import (
 from .errors import (
     Char2CatError,
     DimensionMismatch,
-    GeneratorOutOfRange,
-    LabelOutOfRange,
     LevelMismatch,
     LevelTooLarge,
     NotIntegral,
     NotTiltingCharacter,
-    OrderTooLarge,
     SubsetOutOfRange,
 )
 from .fusion import (

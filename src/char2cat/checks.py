@@ -14,7 +14,7 @@ import numpy as np
 from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
 from .writers import COMPARE_BLOCK, row_slices
 
-__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "symmetric", "nonzero_powers_of_two",
+__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "symmetric", "zero_or_one", "nonzero_powers_of_two",
            "dickson_coeffs", "min_poly_matches_dickson",
            "total_dimension_matches_closed_form", "expected_component_count"]
 
@@ -34,6 +34,11 @@ def symmetric(mat: np.ndarray) -> bool:
         np.array_equal(mat[rows], mat[:, rows].T)
         for rows in row_slices(mat, COMPARE_BLOCK)
     )
+
+
+def zero_or_one(mat: np.ndarray) -> bool:
+    return all(((mat[rows] == 0) | (mat[rows] == 1)).all()
+               for rows in row_slices(mat, COMPARE_BLOCK))
 
 
 def nonzero_powers_of_two(arr: np.ndarray) -> bool:

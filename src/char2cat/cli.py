@@ -282,7 +282,7 @@ def _ext1(args, rep: Report) -> dict:
     mat = homology.ext1_matrix(m)
     comps = homology.block_components(m)
     rep.add_check("symmetric", checks.symmetric(mat), "")
-    rep.add_check("entries-are-zero-or-one", bool(((mat == 0) | (mat == 1)).all()), "")
+    rep.add_check("entries-are-zero-or-one", checks.zero_or_one(mat), "")
     rep.add_check(
         "component-count", len(comps) == checks.expected_component_count(m),
         f"{len(comps)} connected component(s) in the Ext/Cartan graph",

@@ -74,6 +74,13 @@ def check_subset(mask: int, n: int) -> int:
     return mask
 
 
+def check_generator(j: int, n: int) -> int:
+    """Validate a generator index ``1 <= j <= n`` at level ``n``."""
+    if not isinstance(j, int) or not 1 <= j <= n:
+        raise SubsetOutOfRange(f"generator {j} outside 1..{n}")
+    return j
+
+
 # ----------------------------------------------------------------------
 # integer polynomials
 
@@ -568,8 +575,7 @@ def d_basis_generator_matrix(j: int, n: int) -> np.ndarray:
     as the independent oracle for the fusion-ring structure constants.
     """
     check_level(n)
-    if not 1 <= j <= n:
-        raise SubsetOutOfRange(f"generator {j} outside 1..{n}")
+    check_generator(j, n)
     gen = embed(CycInt.delta(j), n)
     cols = [to_d_basis(gen * d_basis_element(mask, n)) for mask in range(1 << n)]
     return np.array(cols, dtype=np.int64).T

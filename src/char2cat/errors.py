@@ -2,6 +2,10 @@
 
 Every error carries enough context in its message to act on (which cap was
 exceeded, which index was out of range) so CLI users never need a traceback.
+Every capped or range-checked argument, in the library as on the command
+line, goes through ``cyclotomic.check_level``, ``check_subset`` or
+``check_generator``, the only places that raise ``LevelTooLarge`` and
+``SubsetOutOfRange``.
 """
 
 
@@ -10,7 +14,7 @@ class Char2CatError(Exception):
 
 
 class LevelTooLarge(Char2CatError):
-    """A level or category index exceeds the configured size cap."""
+    """A level, index, order or label is negative or exceeds its cap."""
 
 
 class LevelMismatch(Char2CatError):
@@ -18,11 +22,7 @@ class LevelMismatch(Char2CatError):
 
 
 class SubsetOutOfRange(Char2CatError):
-    """A subset bitmask mentions a generator above the ambient level."""
-
-
-class GeneratorOutOfRange(Char2CatError):
-    """A generator index lies outside 1..n."""
+    """A subset bitmask or a generator index lies outside 1..n at level n."""
 
 
 class NotIntegral(Char2CatError):
@@ -41,10 +41,3 @@ class NotTiltingCharacter(Char2CatError):
     """A symmetric character is not a nonnegative combination of tilting
     characters."""
 
-
-class OrderTooLarge(Char2CatError):
-    """A power-series truncation order exceeds the configured cap."""
-
-
-class LabelOutOfRange(Char2CatError):
-    """A label lies outside the allowed range 0..2^(n+1)-2."""

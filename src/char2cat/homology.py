@@ -33,11 +33,11 @@ from .cyclotomic import (
     RING_LEVEL_CAP,
     CycInt,
     check_level,
+    check_subset,
     d_basis_element,
     d_cos_matrix,
     embed,
 )
-from .errors import SubsetOutOfRange
 
 __all__ = [
     "CATEGORY_INDEX_CAP",
@@ -115,18 +115,6 @@ def ext1_matrix(m: int) -> np.ndarray:
     return _doubling(m, (0, 1), odd_blocks)
 
 
-def _check_masks(m: int, smask: int, tmask: int) -> int:
-    level = _check_index(m)
-    size = 1 << level
-    for mask in (smask, tmask):
-        if not 0 <= mask < size:
-            raise SubsetOutOfRange(
-                f"subset mask {mask} invalid at chain index {m} "
-                f"(needs 0 <= mask < {size})"
-            )
-    return level
-
-
 def ext1_dim(m: int, smask: int, tmask: int) -> int:
     """Dimension (0 or 1) of the first extension space between the simples
     ``smask`` and ``tmask`` at chain index ``m``.
@@ -135,27 +123,26 @@ def ext1_dim(m: int, smask: int, tmask: int) -> int:
     strips down two even steps; present in exactly one it gives a Kronecker
     delta at odd indices and zero at even ones; absent it descends one
     index.  Bases: 0 at index 0 and 1 at index 1.  This is the per-entry
-    route, one chain of at most ``m + 1`` steps; ``ext1_matrix`` builds all
-    entries at once by the block recursion.
+    route, one chain of at most ``m + 1`` steps, walked as a loop after one
+    argument check; ``ext1_matrix`` builds all entries at once by the block
+    recursion.
     """
-    _check_masks(m, smask, tmask)
-    if m == 0:
-        return 0
-    if m == 1:
-        return 1
-    n = m // 2
-    bit = 1 << (n - 1)
-    in_s = bool(smask & bit)
-    in_t = bool(tmask & bit)
-    if in_s and in_t:
-        return ext1_dim(2 * n - 2, smask & ~bit, tmask & ~bit)
-    if in_s != in_t:
-        if m % 2 == 0:
-            return 0
-        if in_s:
-            return 1 if (smask & ~bit) == tmask else 0
-        return 1 if smask == (tmask & ~bit) else 0
-    return ext1_dim(m - 1, smask, tmask)
+    level = _check_index(m)
+    check_subset(smask, level)
+    check_subset(tmask, level)
+    while m > 1:
+        n = m // 2
+        bit = 1 << (n - 1)
+        in_s = bool(smask & bit)
+        in_t = bool(tmask & bit)
+        if in_s and in_t:
+            m, smask, tmask = 2 * n - 2, smask & ~bit, tmask & ~bit
+        elif in_s != in_t:
+            # the delta: the sets differ in the top generator alone
+            return int(m % 2 == 1 and (smask ^ tmask) == bit)
+        else:
+            m -= 1
+    return m
 
 
 def proj_fpdims(m: int) -> list[CycInt]:
@@ -236,14 +223,16 @@ def algebra_fpdim(n: int) -> CycInt:
 
 
 def block_components(m: int) -> tuple[tuple[int, ...], ...]:
-    """Partition of the simples at chain index ``m`` into connected
-    components of the graph with an edge wherever the Cartan entry or the
-    first-extension dimension is positive.
+    """Partition of the simples at chain index ``m`` into the connected
+    components of the Ext quiver, the graph with an edge wherever the
+    first-extension dimension is positive: the blocks.  A positive Cartan
+    entry links two simples of one block, so it adds no edge across them,
+    and the Cartan matrix is not read.
 
     The component count is reported as computed from this graph; it is not
     normalized to any closed-form prediction.
     """
-    adj = (cartan(m) > 0) | (ext1_matrix(m) > 0)
+    adj = ext1_matrix(m) > 0
     seen = np.zeros(adj.shape[0], dtype=bool)
     comps: list[tuple[int, ...]] = []
     for start in range(adj.shape[0]):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import LabelOutOfRange, OrderTooLarge
+from .cyclotomic import check_level
 
 __all__ = [
     "INVARIANTS_LEVEL_CAP",
@@ -33,21 +33,12 @@ __all__ = [
 #: Largest order of the series, and largest ``invariants --max-m`` on
 #: every route.
 SERIES_ORDER_CAP = 256
-#: Largest ``invariants --level``.  The paths route walks ``2**(n+1) - 1``
-#: nodes: at order 256 with all three routes, level 8 takes about 0.1-0.15 s
-#: cold inside ``cli.run`` (0.5-0.6 s with the interpreter's start-up), and
-#: each further level up to 1.5 times as long as the walk's share grows.
+#: Largest level of every route, and of ``invariants --level``.  The paths
+#: route walks ``2**(n+1) - 1`` nodes: at order 256 with all three routes,
+#: level 8 takes about 0.1-0.15 s cold inside ``cli.run`` (0.5-0.6 s with
+#: the interpreter's start-up), and each further level up to 1.5 times as
+#: long as the walk's share grows.
 INVARIANTS_LEVEL_CAP = 8
-
-
-def _check_column(n: int, top: int) -> None:
-    """Every route takes ``n >= 0`` and ``0 <= top <= SERIES_ORDER_CAP``."""
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    if top < 0:
-        raise ValueError(f"order must be nonnegative, got {top}")
-    if top > SERIES_ORDER_CAP:
-        raise OrderTooLarge(f"order {top} exceeds the cap SERIES_ORDER_CAP={SERIES_ORDER_CAP}")
 
 
 def closed_walks(nodes: int, length: int) -> list[int]:
@@ -72,7 +63,8 @@ def recursion_column(n: int, top: int) -> list[int]:
     ``d(m, k) = sum_s C(m-1, 2s) 2^(m-1-2s) d(s, k-1)`` from ``d(0, k) = 1``
     and ``d(m, 0) = 0``.  Built bottom-up: level ``k`` needs only
     ``m <= top >> (n - k)``, since ``s <= (m-1)/2``."""
-    _check_column(n, top)
+    check_level(n, INVARIANTS_LEVEL_CAP, "invariants level", "INVARIANTS_LEVEL_CAP")
+    check_level(top, SERIES_ORDER_CAP, "order", "SERIES_ORDER_CAP")
     col = [1] + [0] * (top >> n)
     for k in range(1, n + 1):
         prev = col
@@ -87,7 +79,8 @@ def recursion_column(n: int, top: int) -> list[int]:
 def paths_column(n: int, top: int) -> list[int]:
     """``d(0..top, n)`` as closed walks of even length ``0 .. 2 * top`` on
     the path graph with ``2**(n+1) - 1`` nodes (odd lengths vanish)."""
-    _check_column(n, top)
+    check_level(n, INVARIANTS_LEVEL_CAP, "invariants level", "INVARIANTS_LEVEL_CAP")
+    check_level(top, SERIES_ORDER_CAP, "order", "SERIES_ORDER_CAP")
     return closed_walks((1 << (n + 1)) - 1, 2 * top)[::2]
 
 
@@ -98,7 +91,8 @@ def series_f(n: int, order: int) -> list[int]:
     Multiplying by ``z^k/(1-2z)^j`` is a shift by ``k``, then ``j`` passes
     ``c[i] += 2 c[i-1]``, each dividing by ``1-2z``; the composition is a
     Horner loop of such steps, exact in integers."""
-    _check_column(n, order)
+    check_level(n, INVARIANTS_LEVEL_CAP, "invariants level", "INVARIANTS_LEVEL_CAP")
+    check_level(order, SERIES_ORDER_CAP, "order", "SERIES_ORDER_CAP")
     coeffs = [1] + [0] * order
     for _ in range(n):
         # compose the previous series with w = z^2/(1-2z)^2 by Horner:
@@ -124,19 +118,13 @@ def series_f(n: int, order: int) -> list[int]:
 ROUTES = {"recursion": recursion_column, "paths": paths_column, "series": series_f}
 
 
-def _check_label(a: int, n: int) -> int:
-    top = (1 << (n + 1)) - 2
-    if not 0 <= a <= top:
-        raise LabelOutOfRange(f"label {a} outside 0..{top} at level {n}")
-    return top
-
-
 def verlinde_product(a: int, b: int, n: int) -> tuple[int, ...]:
     """Truncated Clebsch-Gordan fusion on labels ``0 .. 2**(n+1) - 2``:
     the labels from ``|a-b|`` to ``min(a+b, 2*top - a - b)`` in steps of
     two, as a sorted multiset."""
-    top = _check_label(a, n)
-    _check_label(b, n)
+    top = (1 << (n + 1)) - 2
+    check_level(a, top, "label", "2^(n+1)-2")
+    check_level(b, top, "label", "2^(n+1)-2")
     lo = abs(a - b)
     hi = min(a + b, 2 * top - a - b)
     return tuple(range(lo, hi + 1, 2))
@@ -145,6 +133,6 @@ def verlinde_product(a: int, b: int, n: int) -> tuple[int, ...]:
 def verlinde_qdim(a: int, n: int) -> float:
     """Quantum dimension of a label: ``sin((a+1) pi / 2^(n+1)) / sin(pi /
     2^(n+1))``."""
-    _check_label(a, n)
+    check_level(a, (1 << (n + 1)) - 2, "label", "2^(n+1)-2")
     theta = math.pi / (1 << (n + 1))
     return math.sin((a + 1) * theta) / math.sin(theta)

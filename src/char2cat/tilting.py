@@ -67,6 +67,8 @@ __all__ = [
 
 #: Largest index, or tensor power, the tilting tables accept: ``2**11 - 1``.
 #: It bounds the output; the functor level is bounded by the ring level cap.
+#: ``digit_images`` takes any index, since ``tilt --functor N`` reads the
+#: first index it kills, ``2**(N+1) - 1``.
 TILT_INDEX_CAP = 2047
 
 
@@ -245,8 +247,7 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
     multiplicity dict, by Donkin's digits: row ``0`` is ``{1: 1}``, row
     ``2k+1`` is ``{2k+2: 1}``, and row ``2k+2`` sends each ``(j, c)`` of
     row ``k`` to ``(2j+1, c)`` and adds ``2`` at ``2k+1``."""
-    if m < 0:
-        raise ValueError(f"index must be nonnegative, got {m}")
+    check_level(m, TILT_INDEX_CAP, "tilt index", "TILT_INDEX_CAP")
     rows = [{1: 1}]
     for t in range(1, m + 1):
         if t % 2:
@@ -262,8 +263,7 @@ def tensor_power_decompose(r: int) -> TiltSum:
     """Decomposition of the ``r``-th tensor power of the degree-1 module:
     the multiplicities of ``V^0 = T(0)`` pushed ``r`` times through the
     tensor-by-degree-1 rows."""
-    if r < 0:
-        raise ValueError(f"tensor power must be nonnegative, got {r}")
+    check_level(r, TILT_INDEX_CAP, "tensor power", "TILT_INDEX_CAP")
     rows = tensor_v_rows(r)
     acc = {0: 1}
     for _ in range(r):
@@ -280,8 +280,7 @@ def in_T1_polynomial(m: int) -> IntPoly:
     indecomposable class in terms of the degree-1 class in the split
     Grothendieck ring, by Donkin's digits: ``g_0 = 1``,
     ``g_(2k+1) = x g_k(x**2 - 2)`` and ``g_(2k+2) = x**2 g_k(x**2 - 2)``."""
-    if m < 0:
-        raise ValueError(f"index must be nonnegative, got {m}")
+    check_level(m, TILT_INDEX_CAP, "tilt index", "TILT_INDEX_CAP")
     if m == 0:
         return IntPoly((1,))
     twisted = _compose_square_minus_two(in_T1_polynomial((m - 1) // 2).coeffs)
@@ -293,8 +292,7 @@ def functor_images(m: int, n: int) -> list[FusionElt]:
     ring by the row step: index 0 goes to the unit, and each further index
     follows from a tensor-by-degree-1 row with ``x`` the top generator
     (zero at level 0).  The check route for ``digit_images``."""
-    if m < 0:
-        raise ValueError(f"index must be nonnegative, got {m}")
+    check_level(m, TILT_INDEX_CAP, "tilt index", "TILT_INDEX_CAP")
     zero = fusion_elt(n, {})
     x = simple_elt(n, 1 << (n - 1)) if n else zero
     imgs = [unit(n)]

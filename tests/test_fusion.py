@@ -16,7 +16,6 @@ from char2cat.cyclotomic import (
 )
 from char2cat.errors import (
     Char2CatError,
-    GeneratorOutOfRange,
     LevelMismatch,
     LevelTooLarge,
     SubsetOutOfRange,
@@ -99,9 +98,9 @@ def test_gen_mul_merges_disjoint_generator():
 
 
 def test_gen_mul_generator_range_checked():
-    with pytest.raises(GeneratorOutOfRange):
+    with pytest.raises(SubsetOutOfRange, match=r"generator 3 outside 1\.\.2"):
         gen_mul(3, 1, 2)
-    with pytest.raises(GeneratorOutOfRange):
+    with pytest.raises(SubsetOutOfRange, match=r"generator 0 outside 1\.\.2"):
         gen_mul(0, 1, 2)
 
 

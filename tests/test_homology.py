@@ -87,6 +87,12 @@ def test_table_checks_see_a_fault_in_the_last_row_block():
         assert checks.symmetric(bad) is symmetric, (entry, value)
         assert checks.nonzero_powers_of_two(bad) is powers, (entry, value)
     # the fusion tensor is cut along its first axis the same way
+    ext = ext1_matrix(19)
+    assert checks.zero_or_one(ext)
+    for value in (2, -1):  # one entry that is neither zero nor one
+        bad = ext.copy()
+        bad[511, 500] = value
+        assert not checks.zero_or_one(bad), value
     tensor = np.ones((256, 32, 32), dtype=np.int64)
     assert len(writers.row_slices(tensor, writers.COMPARE_BLOCK)) == 4
     assert checks.nonzero_powers_of_two(tensor)
@@ -291,6 +297,16 @@ def test_block_components_counts():
     # odd indices are connected
     for m in range(1, 14, 2):
         assert len(block_components(m)) == 1
+
+
+def test_cartan_links_no_simples_across_ext_blocks():
+    # so the Ext quiver alone gives the components of the Cartan/Ext graph
+    for m in range(18):
+        block = np.empty(1 << (m // 2), dtype=np.int64)
+        for k, comp in enumerate(block_components(m)):
+            block[list(comp)] = k
+        rows, cols = np.nonzero(cartan(m))
+        assert (block[rows] == block[cols]).all(), m
 
 
 def test_block_components_partition_everything():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from char2cat.errors import LabelOutOfRange, OrderTooLarge
+from char2cat.errors import LevelTooLarge
 from char2cat.invariants import (
     ROUTES,
     SERIES_ORDER_CAP,
@@ -88,11 +88,11 @@ def test_triple_route_agreement_small():
 
 def test_every_route_validates_its_arguments():
     for route in ROUTES.values():
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(LevelTooLarge, match="invariants level must be a nonnegative"):
             route(-1, 3)
-        with pytest.raises(ValueError, match="order"):
+        with pytest.raises(LevelTooLarge, match="order must be a nonnegative"):
             route(2, -1)
-        with pytest.raises(OrderTooLarge, match="SERIES_ORDER_CAP"):
+        with pytest.raises(LevelTooLarge, match="SERIES_ORDER_CAP"):
             route(2, SERIES_ORDER_CAP + 1)
 
 
@@ -127,7 +127,7 @@ def test_series_truncation_keeps_low_coefficients():
 
 
 def test_series_order_cap_named():
-    with pytest.raises(OrderTooLarge, match="SERIES_ORDER_CAP"):
+    with pytest.raises(LevelTooLarge, match="SERIES_ORDER_CAP"):
         series_f(2, SERIES_ORDER_CAP + 1)
 
 
@@ -168,9 +168,9 @@ def test_verlinde_associative_as_multisets():
 
 
 def test_verlinde_label_range_checked():
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(LevelTooLarge, match=r"label 7 exceeds the cap 2\^\(n\+1\)-2=2"):
         verlinde_product(7, 0, 1)  # labels stop at 2^(n+1) - 2 = 2
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(LevelTooLarge, match="label must be a nonnegative"):
         verlinde_qdim(-1, 2)
 
 

@@ -1,15 +1,25 @@
-"""The public surface is what commands, checks and routes read.
+"""The public surface is what commands, checks and routes read, behind
+one argument check.
 
 Every name in a module's ``__all__``, and every name ``char2cat/__init__.py``
 imports from a module, is loaded somewhere in the package source besides
 its own definition: a command, a check or a route reads it.  The source is
 parsed, not imported, so a name read only by the tests does not count.
+Every error class is raised somewhere, the range errors only by the shared
+checks of ``cyclotomic``, and the library refuses an argument past an
+advertised cap before it does any work.
 """
 
 import ast
+import time
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import char2cat
+from char2cat import cyclotomic, fusion, invariants, tilting
+from char2cat.errors import Char2CatError, LevelTooLarge, SubsetOutOfRange
 
 SRC = Path(char2cat.__file__).parent
 
@@ -81,3 +91,100 @@ def test_the_probe_sees_reads_and_ignores_self_reference():
         "b": ast.parse("from . import a\n\ndef run():\n    return a.h()\n"),
     }
     assert _unread(modules) == {("a", "f"), ("a", "g")}
+
+
+# ----------------------------------------------------------------------
+# one argument check
+
+#: The only constructors of the range errors, as (module, function).
+SHARED_CHECKS = {("cyclotomic", "check_level"), ("cyclotomic", "check_subset"),
+                 ("cyclotomic", "check_generator")}
+
+
+def _raised(tree) -> set:
+    """Names of the exception classes ``tree`` raises."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return out
+
+
+def _constructed(modules, classes: set) -> set:
+    """``(module, top-level definition)`` for each call of a class in
+    ``classes``."""
+    out = set()
+    for mod, tree in modules.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None)) in classes):
+                    out.add((mod, getattr(top, "name", None)))
+    return out
+
+
+def test_every_error_class_is_raised_by_the_package():
+    modules = _modules()
+    classes = {node.name for node in modules["errors"].body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*map(_raised, modules.values()))
+    assert classes - raised == {"Char2CatError"}
+
+
+def test_range_errors_come_only_from_the_shared_checks():
+    assert _constructed(_modules(), {"LevelTooLarge", "SubsetOutOfRange"}) == SHARED_CHECKS
+
+
+def test_the_error_probes_see_raises_and_constructions():
+    tree = ast.parse(
+        "def check_level(n):\n    raise LevelTooLarge(f'{n}')\n"
+        "class A:\n    def f(self):\n        raise errors.SubsetOutOfRange\n"
+        "    def g(self):\n        return errors.SubsetOutOfRange('x')\n"
+    )
+    assert _raised(tree) == {"LevelTooLarge", "SubsetOutOfRange"}
+    assert _constructed({"m": tree}, {"LevelTooLarge", "SubsetOutOfRange"}) == {
+        ("m", "check_level"), ("m", "A")}
+
+
+#: Library calls one step past an advertised cap, with the cap they name;
+#: the other arguments are the largest the caps allow.
+PAST_THE_CAP = [
+    (invariants.paths_column,
+     (invariants.INVARIANTS_LEVEL_CAP + 1, invariants.SERIES_ORDER_CAP), "INVARIANTS_LEVEL_CAP"),
+    (invariants.recursion_column,
+     (invariants.INVARIANTS_LEVEL_CAP + 1, invariants.SERIES_ORDER_CAP), "INVARIANTS_LEVEL_CAP"),
+    (invariants.series_f,
+     (invariants.INVARIANTS_LEVEL_CAP + 1, invariants.SERIES_ORDER_CAP), "INVARIANTS_LEVEL_CAP"),
+    (tilting.tensor_v_rows, (tilting.TILT_INDEX_CAP + 1,), "TILT_INDEX_CAP"),
+    (tilting.tensor_power_decompose, (tilting.TILT_INDEX_CAP + 1,), "TILT_INDEX_CAP"),
+    (tilting.functor_images, (tilting.TILT_INDEX_CAP + 1, 2), "TILT_INDEX_CAP"),
+    (tilting.in_T1_polynomial, (tilting.TILT_INDEX_CAP + 1,), "TILT_INDEX_CAP"),
+]
+
+
+@pytest.mark.parametrize("fn, args, cap_name", PAST_THE_CAP,
+                         ids=[fn.__name__ for fn, _, _ in PAST_THE_CAP])
+def test_library_refuses_past_its_caps_before_any_work(fn, args, cap_name):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(LevelTooLarge) as info:
+            fn(*args)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"exceeds the cap {cap_name}=" in str(info.value)
+    assert elapsed < 0.1
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("j", [0, 1.5])
+def test_generator_range_has_one_class_and_one_wording(j):
+    seen = []
+    for call in (lambda: fusion.gen_mul(j, 1, 2),
+                 lambda: cyclotomic.d_basis_generator_matrix(j, 2)):
+        with pytest.raises(Char2CatError) as info:
+            call()
+        seen.append((type(info.value), str(info.value)))
+    assert seen == [(SubsetOutOfRange, f"generator {j} outside 1..2")] * 2

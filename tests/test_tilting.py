@@ -10,7 +10,7 @@ from char2cat import chebyshev, tilting
 from char2cat.chebyshev import cheb_q, eval_poly
 from char2cat.cli import parse_json, run
 from char2cat.cyclotomic import IntPoly
-from char2cat.errors import NotTiltingCharacter
+from char2cat.errors import LevelTooLarge, NotTiltingCharacter
 from char2cat.fusion import fusion_elt, product, simple_elt
 from char2cat.tilting import (
     TiltSum,
@@ -267,7 +267,7 @@ def test_digit_images_of_any_index_order():
 
 
 def test_rows_reject_a_negative_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelTooLarge, match="tilt index must be a nonnegative"):
         tensor_v_rows(-1)
     assert tensor_v_rows(0) == [{1: 1}]
 

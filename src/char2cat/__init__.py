@@ -37,7 +37,6 @@ from .fusion import (
     fpdim,
     frobenius_twist,
     fusion_elt,
-    gen_mul,
     generator_matrix,
     mult_matrix,
     product,
@@ -88,13 +87,12 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every cache in the package's loaded modules.
 
-    Every cache is a ``functools.lru_cache`` on values a command re-reads:
-    ``cyclotomic.min_poly`` holds the whole tower (``RING_LEVEL_CAP + 1``
-    levels), ``homology.cartan`` and ``homology.ext1_matrix`` the last index
-    asked for, ``tilting.tilt_char`` up to 64 characters (the checks read
-    42) and ``cli.build_parser`` the one parser; ``fusion.gen_mul`` alone
-    is unbounded, filled only within the caps of the commands that read
-    it."""
+    Every cache is a bounded ``functools.lru_cache`` on values a command
+    re-reads: ``cyclotomic.min_poly`` holds the whole tower
+    (``RING_LEVEL_CAP + 1`` levels), ``homology.cartan`` and
+    ``homology.ext1_matrix`` the last index asked for, ``tilting.tilt_char``
+    up to 64 characters (the checks read 42) and ``cli.build_parser`` the
+    one parser."""
     for name, mod in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(mod).values():

@@ -147,17 +147,18 @@ def structure_routes(max_level):
 def structure_powers_of_two(max_level):
     small = min(max_level, 5)
     for n in range(small + 1):
-        if not nonzero_powers_of_two(fusion._structure_from_generators(n)):
+        if not nonzero_powers_of_two(fusion._structure_from_generators(n)[:, 3]):
             return False, f"level {n}"
     return True, f"levels 0..{small}"
 
 
 def structure_self_dual(max_level):
     for n in range(min(max_level, 5) + 1):
-        t = fusion._structure_from_generators(n)
-        for s in range(1 << n):
-            if t[s, s, 0] < 1:
-                return False, f"level {n} mask {s}"
+        rec = fusion._structure_from_generators(n)
+        paired = np.zeros(1 << n, dtype=bool)
+        paired[rec[(rec[:, 0] == rec[:, 1]) & (rec[:, 2] == 0) & (rec[:, 3] >= 1), 0]] = True
+        if not paired.all():
+            return False, f"level {n} mask {np.argmin(paired)}"
     return True, "every class pairs with itself into the unit"
 
 

@@ -249,21 +249,19 @@ def _product(args, rep: Report) -> dict:
 
 def _structure(args, rep: Report) -> dict:
     n = args.level
-    tensor = fusion.structure_tensor(n)
-    recursion = fusion._structure_from_recursion(n)
-    nz = np.argwhere(tensor != 0)
+    records = fusion.structure_tensor(n)
     rep.add_check(
         "nonzero-coefficients-are-powers-of-two",
-        checks.nonzero_powers_of_two(tensor),
-        f"{len(nz)} nonzero entries",
+        checks.nonzero_powers_of_two(records[:, 3]),
+        f"{len(records)} nonzero entries",
     )
     rep.add_check(
-        "iteration-matches-level-recursion", np.array_equal(tensor, recursion),
+        "iteration-matches-level-recursion",
+        np.array_equal(records, fusion._structure_from_recursion(n)),
         "generator iteration and level recursion compared entrywise",
     )
     return {"level": n, "simples": [_subset_payload(m) for m in range(1 << n)],
-            "nonzero": writers.Records(("left", "right", "out", "coeff"),
-                                       np.column_stack([nz, tensor[tuple(nz.T)]]))}
+            "nonzero": writers.Records(("left", "right", "out", "coeff"), records)}
 
 
 def _cartan(args, rep: Report) -> dict:
@@ -285,7 +283,7 @@ def _ext1(args, rep: Report) -> dict:
     rep.add_check("entries-are-zero-or-one", checks.zero_or_one(mat), "")
     rep.add_check(
         "component-count", len(comps) == checks.expected_component_count(m),
-        f"{len(comps)} connected component(s) in the Ext/Cartan graph",
+        f"{len(comps)} connected component(s) in the Ext1 graph",
     )
     return {**_matrix_payload(m, mat), "components": [list(c) for c in comps]}
 

@@ -510,7 +510,7 @@ def to_d_basis(e: CycInt) -> list[int]:
 # exact float64 products, and matrix annihilation
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for integer-valued ``float64`` arrays, exactly and through BLAS.
 
     Every partial sum of the product is at most ``k * max|a| * max|b|`` in
@@ -526,7 +526,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
                 f"float64 product bound {bound} is not below 2**53, so it "
                 "would not be exact"
             )
-    return np.matmul(a, b, out=out)
+    return a @ b
 
 
 def _abs_max(a: np.ndarray) -> int:

@@ -3,36 +3,32 @@
 Basis classes are indexed by subsets ``S`` of ``{1..n}`` through bitmasks
 (bit ``j-1`` set iff ``j`` is in ``S``); the integer value of the mask is
 also the printed ``V_m`` index used by the CLI.  Multiplication is driven
-by the single-generator rule ``gen_mul`` and extended to arbitrary
-products by iterating it.  The full structure-constant tensor comes by
-three independent routes that the tests compare: generator iteration and
-the exact cyclotomic-arithmetic oracle, which feed their generator
-matrices to one subset-product builder, and a level recursion built on the
-presentation ``x^2 = 2 + x'`` of each new generator ``x``.  The builder
-does one exact ``float64`` gemm per generator and the recursion one per
-level, both through ``cyclotomic.exact_matmul``: numpy has no BLAS for
-``int64``, and the entries (at most ``2^n``) are far inside the range
-where ``float64`` integer arithmetic is exact.
+by the single-generator rule and extended to arbitrary products by
+iterating it.  The structure constants come as sorted records ``(S, T, U,
+c)`` by three independent routes that the tests compare: generator
+iteration and the exact cyclotomic-arithmetic oracle, which feed their
+generators to one subset-product builder, and a level recursion built on
+the presentation ``x^2 = 2 + x'`` of each new generator ``x``.  Both build
+through one step, records times an operator given as ``(out, in, coeff)``
+terms, in ``int64`` index arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cyclotomic import (
-    RING_LEVEL_CAP,
     CycInt,
+    _abs_max,
     check_generator,
     check_level,
     check_subset,
     d_basis_element,
     d_basis_generator_matrix,
-    exact_matmul,
 )
-from .errors import LevelMismatch
+from .errors import LevelMismatch, NotIntegral
 
 __all__ = [
     "STRUCTURE_LEVEL_CAP",
@@ -41,7 +37,6 @@ __all__ = [
     "fusion_elt",
     "simple_elt",
     "unit",
-    "gen_mul",
     "product",
     "generator_matrix",
     "structure_tensor",
@@ -142,48 +137,22 @@ def unit(level: int) -> FusionElt:
     return simple_elt(level, 0)
 
 
-def _segment_mask(a: int, b: int) -> int:
-    """Bitmask of the generators ``a..b`` (empty when ``a > b``)."""
-    if a > b:
-        return 0
-    return (1 << b) - (1 << (a - 1))
-
-
 def _gen_mul_terms(i: int, mask: int, n: int) -> list[tuple[int, int]]:
     """The single-generator rule as ``(mask, coefficient)`` pairs, distinct
-    masks, unvalidated and uncached.
+    masks, unvalidated.
 
-    Let ``k`` be the largest index ``<= i`` not in the subset.  The product
-    is the class with ``k`` adjoined and ``[k+1, i]`` removed (dropped
-    entirely when ``k = 0``), plus twice the classes with ``[k, i]``
-    removed for each ``k`` in the gap.
+    Let ``k`` be the largest index ``<= i`` not in the subset, so that
+    ``k+1 .. i`` are in it.  The product is the class with ``k`` adjoined
+    and ``[k+1, i]`` removed (dropped entirely when ``k = 0``), plus twice
+    the classes with ``[kk, i]`` removed for each ``kk`` in the gap.
     """
-    k = i
-    while k >= 1 and mask >> (k - 1) & 1:
-        k -= 1
-    out = []
-    if k > 0:
-        out.append(((mask & ~_segment_mask(k + 1, i)) | (1 << (k - 1)), 1))
-    for kk in range(k + 1, i + 1):
-        out.append((mask & ~_segment_mask(kk, i), 2))
+    full = (1 << i) - 1
+    k = (~mask & full).bit_length()
+    # full >> j << j is the mask of the generators j+1 .. i
+    out = [(mask - (full >> k << k) + (1 << (k - 1)), 1)] if k else []
+    for j in range(k, i):
+        out.append((mask - (full >> j << j), 2))
     return out
-
-
-@lru_cache(maxsize=None)
-def gen_mul(i: int, mask: int, n: int) -> FusionElt:
-    """Product of the ``i``-th generator class with the basis class ``mask``.
-
-    The cache is unbounded but finite: a key has ``1 <= i <= n``, ``mask <
-    2^n`` and ``n <= RING_LEVEL_CAP``, so it holds at most the sum over
-    ``n <= 12`` of ``n * 2^n`` entries, 90114.  It is kept for ``verify``,
-    whose Chebyshev annihilation, Frobenius and functor checks multiply
-    through it: without it the ``verify`` jobs of the benchmark's
-    ``small`` stream took 288-459 ms against 193-289 ms (six fresh
-    interpreters each, 2-CPU shared host)."""
-    check_level(n)
-    check_generator(i, n)
-    check_subset(mask, n)
-    return fusion_elt(n, dict(_gen_mul_terms(i, mask, n)))
 
 
 def product(a: FusionElt, b: FusionElt) -> FusionElt:
@@ -202,7 +171,7 @@ def product(a: FusionElt, b: FusionElt) -> FusionElt:
             j &= ~(1 << (i - 1))
             nxt: dict[int, int] = {}
             for mask, c in cur.items():
-                for m2, c2 in gen_mul(i, mask, n).coeffs:
+                for m2, c2 in _gen_mul_terms(i, mask, n):
                     nxt[m2] = nxt.get(m2, 0) + c * c2
             cur = nxt
         for mask, c in cur.items():
@@ -210,48 +179,83 @@ def product(a: FusionElt, b: FusionElt) -> FusionElt:
     return fusion_elt(n, out)
 
 
+def _generator_terms(i: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiplication by the ``i``-th generator as terms ``(out, in,
+    coeff)``, ``int64`` arrays sorted by ``in``: column ``in`` holds
+    ``_gen_mul_terms(i, in, n)``."""
+    check_level(n)
+    check_generator(i, n)
+    return tuple(np.array([(m2, mask, c) for mask in range(1 << n)
+                           for m2, c in _gen_mul_terms(i, mask, n)], dtype=np.int64).T)
+
+
 def generator_matrix(i: int, n: int) -> np.ndarray:
-    """Matrix of multiplication by the ``i``-th generator; columns are
-    ``gen_mul(i, mask, n)``, built afresh on each call from the cached
-    columns."""
-    size = 1 << n
-    mat = np.zeros((size, size), dtype=np.int64)
-    for mask in range(size):
-        for m2, c in gen_mul(i, mask, n).coeffs:
-            mat[m2, mask] = c
+    """Matrix of multiplication by the ``i``-th generator, built afresh
+    on each call from its terms."""
+    out, inp, coeff = _generator_terms(i, n)
+    mat = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    mat[out, inp] = coeff
     return mat
 
 
-def _structure_from_products(gmats: list[np.ndarray]) -> np.ndarray:
-    """``N[S][T][U]`` from one route's generator matrices ``g_1 .. g_n``.
+def _records(keys: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``(S, T, U, c)``, ``c`` the coefficient of ``X_U`` in ``X_S X_T``,
+    from the sorted keys ``(S * 2^n + T) * 2^n + U`` (``np.argwhere`` order)."""
+    low = (1 << n) - 1
+    return np.column_stack([keys >> 2 * n, keys >> n & low, keys & low, coeffs])
 
-    ``N[S]`` (rows = right factor, columns = output class) is
-    ``N[S - i] @ g_i.T`` for the largest ``i`` in ``S``.  Viewing the cube
-    as one matrix with rows ``(S, T)``, the masks ``2^(i-1) .. 2^i - 1``
-    are then a single exact ``float64`` gemm per generator.  numpy has no
-    BLAS for ``int64``, and a stacked ``matmul`` over ``cube[:h]`` would
-    make one BLAS call per slice, ``2^(i-1)`` calls for generator ``i``.
-    """
-    size = 1 << len(gmats)
-    cube = np.empty((size, size, size), dtype=np.float64)
-    cube[0] = np.identity(size)
-    flat = cube.reshape(size * size, size)
-    for i, g in enumerate(gmats):
-        rows = (1 << i) * size
-        exact_matmul(flat[:rows], g.T.astype(np.float64), out=flat[rows:2 * rows])
-    return cube.astype(np.int64)
+
+def _merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by key and add up equal keys' coefficients (positive, so no sum is 0)."""
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], coeffs[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(coeffs, first)
+
+
+def _times(keys: np.ndarray, coeffs: np.ndarray, terms, n: int):
+    """``x N`` unmerged: record ``(S, T, U, c)`` at level ``n`` gives ``(S, T,
+    out, c * coeff)`` for each term of ``x`` with ``in = U``, the terms sorted
+    by ``in``.  ``NotIntegral`` is raised first unless each sum, of at most
+    the most terms into one class, each at most ``max|c| * max|coeff|``,
+    stays in ``int64``."""
+    out, inp, coeff = terms
+    bound = _abs_max(coeffs) * _abs_max(coeff) * int(np.bincount(out).max())
+    if bound >= 1 << 63:
+        raise NotIntegral(f"structure-constant bound {bound} is not below 2**63")
+    u = keys & ((1 << n) - 1)
+    edges = np.searchsorted(inp, np.arange((1 << n) + 1))
+    first, count = edges[u], edges[u + 1] - edges[u]
+    ends = np.cumsum(count)
+    pos = np.repeat(first - (ends - count), count) + np.arange(ends[-1])
+    return np.repeat(keys - u, count) + out[pos], np.repeat(coeffs, count) * coeff[pos]
+
+
+def _subset_products(gens, n: int) -> np.ndarray:
+    """Records at level ``n`` from one route's generators ``x_1 .. x_n`` as
+    terms: ``N[0]`` is the identity and ``N[S] = x_i N[S - i]``, ``i`` the
+    largest in ``S``, so ``x_i`` adds the masks ``2^(i-1) .. 2^i - 1``."""
+    size = 1 << n
+    keys = np.arange(size, dtype=np.int64) * (size + 1)
+    coeffs = np.ones(size, dtype=np.int64)
+    for i, terms in enumerate(gens):
+        new_keys, new_coeffs = _merge(*_times(keys, coeffs, terms, n))
+        keys = np.concatenate([keys, new_keys + (size << i) * size])
+        coeffs = np.concatenate([coeffs, new_coeffs])
+    return _records(keys, coeffs, n)
 
 
 def _structure_from_generators(n: int) -> np.ndarray:
-    return _structure_from_products([generator_matrix(i, n) for i in range(1, n + 1)])
+    return _subset_products([_generator_terms(i, n) for i in range(1, n + 1)], n)
 
 
 def _structure_from_oracle(n: int) -> np.ndarray:
     """Structure constants from generator matrices computed by exact
-    cyclotomic arithmetic in the ``d_S`` basis; independent of ``gen_mul``."""
-    return _structure_from_products(
-        [d_basis_generator_matrix(j, n) for j in range(1, n + 1)]
-    )
+    cyclotomic arithmetic in the ``d_S`` basis; independent of the
+    generator rule."""
+    mats = [d_basis_generator_matrix(j, n) for j in range(1, n + 1)]
+    nonzero = [np.nonzero(mat.T)[::-1] for mat in mats]  # (out, in), sorted by in
+    return _subset_products([(*oi, mat[oi]) for mat, oi in zip(mats, nonzero)], n)
 
 
 def _structure_from_recursion(n: int) -> np.ndarray:
@@ -260,27 +264,26 @@ def _structure_from_recursion(n: int) -> np.ndarray:
     1) and ``X_S x = X_(S + top)``.  For old subsets ``S,T,U``: old
     constants are inherited; moving ``x`` from one factor into the output
     copies them; ``x`` in both factors gives ``(2 + x') X_S X_T``; the rest
-    vanish.  Only the previous tensor is read; the ``x'`` term is one
-    exact ``float64`` gemm with the previous tensor viewed as rows ``(S, T)``.
-    """
-    tensor = np.ones((1, 1, 1), dtype=np.int64)
+    vanish.  Only the previous records are read: copies at offsets, and
+    ``x'`` as the terms of the records with ``S = x'``."""
+    keys = np.zeros(1, dtype=np.int64)
+    coeffs = np.ones(1, dtype=np.int64)
     for lev in range(1, n + 1):
-        h = 1 << (lev - 1)
-        new = np.zeros((2 * h, 2 * h, 2 * h), dtype=np.int64)
-        new[:h, :h, :h] = tensor
-        new[h:, :h, h:] = tensor
-        new[:h, h:, h:] = tensor
-        new[h:, h:, :h] = 2 * tensor
+        p, h = lev - 1, 1 << (lev - 1)
+        s, t, u = keys >> 2 * p, keys >> p & (h - 1), keys & (h - 1)
+        base = s << 2 * lev | t << lev | u
+        both = base + (h << 2 * lev) + (h << lev)
+        parts = [(base, coeffs), (base + (h << lev) + h, coeffs),
+                 (base + (h << 2 * lev) + h, coeffs), (both, 2 * coeffs)]
         if lev > 1:
-            prev = tensor.astype(np.float64)
-            times_x_prime = exact_matmul(prev.reshape(h * h, h), prev[h // 2])
-            new[h:, h:, :h] += times_x_prime.astype(np.int64).reshape(h, h, h)
-        tensor = new
-    return tensor
+            prime = s == h // 2
+            parts.append(_times(both, coeffs, (u[prime], t[prime], coeffs[prime]), lev))
+        keys, coeffs = _merge(*map(np.concatenate, zip(*parts)))
+    return _records(keys, coeffs, n)
 
 
 def structure_tensor(n: int) -> np.ndarray:
-    """Full structure-constant array ``N[S][T][U]`` at level ``n``, by
+    """Structure constants at level ``n`` as records ``(S, T, U, c)``, by
     generator iteration.  The level recursion and the cyclotomic oracle
     are the independent routes it is checked against."""
     check_level(n, STRUCTURE_LEVEL_CAP, "structure-tensor level",

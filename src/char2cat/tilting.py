@@ -322,8 +322,7 @@ def digit_images(indices, n: int) -> list[FusionElt]:
     where ``x_j`` is generator ``j`` (``x_0 = 0``) and ``i`` keeps each mask
     and raises the level by one.  The masks of ``i(.)`` omit ``n``, so
     ``x_n`` adjoins it.  The images met on the way are kept for this call
-    only, and the generator rule is applied uncached, so a call fills no
-    cache."""
+    only."""
     check_level(n)
     memo: dict[tuple[int, int], FusionElt] = {}
 
@@ -342,8 +341,8 @@ def digit_images(indices, n: int) -> list[FusionElt]:
                     top = 1 << (lev - 1)
                     memo[key] = FusionElt(lev, tuple((s | top, c) for s, c in inner.coeffs))
                 else:
-                    # (2 + x_(lev-1)) inner by the uncached generator rule,
-                    # whose terms for x_0 are empty
+                    # (2 + x_(lev-1)) inner by the generator rule, whose
+                    # terms for x_0 are empty
                     out = {s: 2 * c for s, c in inner.coeffs}
                     for s, c in inner.coeffs:
                         for s2, c2 in _gen_mul_terms(lev - 1, s, lev):

@@ -113,8 +113,8 @@ def test_criterion_2_structure_constants():
         by_ring = _structure_from_oracle(n)
         assert np.array_equal(by_rule, by_ring), n
         assert np.array_equal(by_rule, _structure_from_recursion(n)), n
-        vals = by_rule[by_rule != 0]
-        assert ((vals & (vals - 1)) == 0).all(), n
+        vals = by_rule[:, 3]
+        assert ((vals > 0) & ((vals & (vals - 1)) == 0)).all(), n
         elapsed = time.perf_counter() - t0
         if n == 8:
             assert elapsed < 10.0, f"level 8 took {elapsed:.1f}s"
@@ -127,7 +127,10 @@ def test_criterion_2_structure_constants():
         )
         for a, b in pairs:
             coords = to_d_basis(d_basis_element(a, n) * d_basis_element(b, n))
-            assert list(by_rule[a, b]) == coords, (n, a, b)
+            rows = by_rule[(by_rule[:, 0] == a) & (by_rule[:, 1] == b)]
+            got = np.zeros(size, dtype=np.int64)
+            got[rows[:, 2]] = rows[:, 3]
+            assert list(got) == coords, (n, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +360,7 @@ def test_criterion_12_verify_cap():
 # The child hashes its ``--out`` file after the timed run.
 _CAP_CHILD = """
 import hashlib, sys, time
-from char2cat import cli, fusion, tilting
+from char2cat import cli, tilting
 t0 = time.perf_counter()
 code = cli.run(sys.argv[2:] + ["--out", sys.argv[1]])
 elapsed = time.perf_counter() - t0
@@ -367,12 +370,12 @@ sha = hashlib.sha256()
 with open(sys.argv[1], "rb") as fh:
     for chunk in iter(lambda: fh.read(1 << 20), b""):
         sha.update(chunk)
-print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize,
-      fusion.gen_mul.cache_info().currsize, sha.hexdigest())
+print(code, elapsed, peak_kb, tilting.tilt_char.cache_info().currsize, sha.hexdigest())
 """
 
 # The sha256 of each cap output, recorded before the table writers streamed
-# their rows: the bytes are part of the contract.
+# their rows (the ext1 json and text ones since their component-count detail
+# names the Ext1 graph): the bytes are part of the contract.
 _CAP_DIGESTS = {
     "cartan --index 25":
         "4c691acb9769a872aac66671257ee5671d61f80a99cf827a2d1bdc1367dcbf3e",
@@ -389,11 +392,11 @@ _CAP_DIGESTS = {
     "tilt --decompose 2047":
         "03e3e58ba18800e11df7189914bdc64c25eb787b0f4fceb490588c711d02082f",
     "ext1 --index 25 --format json":
-        "9d72d59606b04f15e025a451780cc6a2cf52e930b661cb0f13788edcd87be614",
+        "99bc7056da44d3d28321514624137156a27acf8a3d0ba9d4defbfec6672dcd8e",
     "ext1 --index 25 --format csv":
         "d80bb6c7add9fa00c79f62e5683d640cb1c72e2a176b0e20a9836e962ff7042c",
     "ext1 --index 25 --format text":
-        "08c8a2941315ecf3a47502a63c7c2da0c7b95a02572acfa350a7efc971181ad9",
+        "7e2b48ec4281f5fdec6133fe053ad37aaf1f22a2d685af7759d4469fa345f91b",
     "invariants --level 8 --max-m 256 --route all":
         "8a195aa99f369c5701876bd6a3352a85192b884a6fb34906b277be2141fa69b4",
     "fpdim --category --level 25 --format json":
@@ -404,6 +407,10 @@ _CAP_DIGESTS = {
         "bc4d757c02e81b4fd3172baae5469da4deb20d330ca4c63dea7d75b7df1ee525",
     "minpoly --level 12 --format text":
         "7438f1e9e308cc8f387d3b2990e3626a4373e03163a9fab0bbdb94426d2a4e7c",
+    "fusion --level 12 --left 4095 --right 4095":
+        "586784ec6df0675d64c2846467a547cd1ce645a45350de7514af592bc94c1b6c",
+    "fpdim --algebra --level 11":
+        "f81a3886b3f8e69e940627b19e801916594b9499cc0f7eaa67ffa8edda36b832",
 }
 
 
@@ -423,9 +430,9 @@ def _cli_in_child(argv):
     """Run ``argv`` through ``cli.run`` in a fresh interpreter, so every
     cache starts cold and the peak RSS is the command's own.  Returns the
     exit code, the seconds inside ``cli.run``, the peak RSS in MB, the
-    report's checks (``None`` unless the output is JSON) and the numbers of
-    entries left in the ``tilt_char`` and ``gen_mul`` caches.  The sha256
-    of the output must be the one recorded in ``_CAP_DIGESTS``."""
+    report's checks (``None`` unless the output is JSON) and the number of
+    entries left in the ``tilt_char`` cache.  The sha256 of the output must
+    be the one recorded in ``_CAP_DIGESTS``."""
     import os
     import subprocess
     import tempfile
@@ -440,16 +447,15 @@ def _cli_in_child(argv):
             [sys.executable, "-c", _CAP_CHILD, str(out), *argv],
             capture_output=True, text=True, env=env, check=True,
         )
-        code, elapsed, peak_kb, *cached, digest = proc.stdout.split()
+        code, elapsed, peak_kb, cached, digest = proc.stdout.split()
         assert digest == _CAP_DIGESTS[" ".join(argv)], argv
         is_json = "--format" not in argv or argv[argv.index("--format") + 1] == "json"
         report_checks = _report_checks(out) if is_json else None
-        return (int(code), float(elapsed), int(peak_kb) / 1024, report_checks,
-                tuple(map(int, cached)))
+        return int(code), float(elapsed), int(peak_kb) / 1024, report_checks, int(cached)
 
 
 @criterion("13 cartan --index 25 json, csv and text <8s, <600MB and fusion --level 8 "
-           "json <7s, <600MB cold via cli.run, bytes as recorded")
+           "json <7s, <250MB cold via cli.run, bytes as recorded")
 def test_criterion_13_tables_at_caps():
     from char2cat.fusion import STRUCTURE_LEVEL_CAP
 
@@ -461,7 +467,7 @@ def test_criterion_13_tables_at_caps():
         (["cartan", "--index", index, "--format", "text"], None, 8.0, 600),
         (["fusion", "--level", str(STRUCTURE_LEVEL_CAP)],
          ["nonzero-coefficients-are-powers-of-two", "iteration-matches-level-recursion"],
-         7.0, 600),
+         7.0, 250),
     ):
         code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
         # csv and text carry no checks: exit code 0 means every check passed
@@ -479,7 +485,7 @@ def test_criterion_13_tables_at_caps():
 
 @criterion("14 tilt --functor 12 --max-m 2047 <3.5s, <200MB, --table --max-m 2047 <0.25s, "
            "<170MB, --decompose 2047 <5s, <160MB (json) cold via cli.run, "
-           "no tilt_char or gen_mul cached, bytes as recorded")
+           "no tilt_char cached, bytes as recorded")
 def test_criterion_14_tilt_at_caps():
     from char2cat.cyclotomic import RING_LEVEL_CAP
     from char2cat.tilting import TILT_INDEX_CAP
@@ -497,9 +503,8 @@ def test_criterion_14_tilt_at_caps():
         assert all(c["pass"] for c in report_checks), argv
         assert elapsed < budget_s, f"{argv}: took {elapsed:.1f}s"
         assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
-        # the output routes read Donkin's digits, not the characters, and
-        # apply the generator rule uncached
-        assert cached == (0, 0), argv
+        # the output routes read Donkin's digits, not the characters
+        assert cached == 0, argv
 
 
 # ----------------------------------------------------------------------
@@ -564,24 +569,33 @@ def test_criterion_17_total_dimension_at_cap():
 
 
 # ----------------------------------------------------------------------
-# 18. the minimal polynomial at the ring cap, printed through the CLI
+# 18. the minimal polynomial, a product of simples and the algebra
+# dimension at the ring cap, printed through the CLI
 
 
-@criterion("18 minpoly --level 12 (RING_LEVEL_CAP) json and text "
-           "cold via cli.run, <2.5s, <175MB, bytes as recorded")
+@criterion("18 minpoly --level 12 (RING_LEVEL_CAP) json and text <2.5s, <175MB, "
+           "fusion --level 12 --left 4095 --right 4095 <1s, <175MB and fpdim --algebra "
+           "--level 11 <1s, <175MB cold via cli.run, bytes as recorded")
 def test_criterion_18_min_poly_at_cap():
     from char2cat.cyclotomic import RING_LEVEL_CAP
 
-    for fmt in ("json", "text"):
-        argv = ["minpoly", "--level", str(RING_LEVEL_CAP), "--format", fmt]
+    cap, top = str(RING_LEVEL_CAP), str((1 << RING_LEVEL_CAP) - 1)
+    for argv, names, budget_s, budget_mb in (
+        (["minpoly", "--level", cap, "--format", "json"], ["composition-step"], 2.5, 175),
+        (["minpoly", "--level", cap, "--format", "text"], None, 2.5, 175),
+        (["fusion", "--level", cap, "--left", top, "--right", top],
+         ["product-matches-dimension-oracle", "coefficients-nonnegative"], 1.0, 175),
+        (["fpdim", "--algebra", "--level", str(RING_LEVEL_CAP - 1)],
+         ["equals-square-of-next-generator"], 1.0, 175),
+    ):
         code, elapsed, rss_mb, report_checks, _ = _cli_in_child(argv)
         # text carries no checks: exit code 0 means every check passed
-        assert code == 0, fmt
-        if fmt == "json":
-            assert [c["name"] for c in report_checks] == ["composition-step"]
-            assert all(c["pass"] for c in report_checks)
-        assert elapsed < 2.5, f"{fmt}: took {elapsed:.1f}s"
-        assert rss_mb < 175, f"{fmt}: peak RSS {rss_mb:.0f} MB"
+        assert code == 0, argv
+        if names:
+            assert [c["name"] for c in report_checks] == names, argv
+            assert all(c["pass"] for c in report_checks), argv
+        assert elapsed < budget_s, f"{argv}: took {elapsed:.2f}s"
+        assert rss_mb < budget_mb, f"{argv}: peak RSS {rss_mb:.0f} MB"
 
 
 def main() -> int:

@@ -46,11 +46,8 @@ def test_min_poly_cache_holds_the_whole_tower():
     assert min_poly.cache_info().currsize == RING_LEVEL_CAP + 1
 
 
-# Each unbounded cache, with why a bound is not needed.
-UNBOUNDED = {
-    "char2cat.fusion.gen_mul":
-        "one FusionElt per (generator, mask, level) that a product meets",
-}
+# Each unbounded cache, with why a bound is not needed: none is left.
+UNBOUNDED = {}
 
 # Each bounded cache and its bound.
 BOUNDED = {
@@ -84,21 +81,6 @@ def test_verify_at_its_cap_evicts_no_tilting_character(tmp_path):
     assert info.misses == info.currsize == 42  # indices 0..41, under the bound of 64
 
 
-def test_gen_mul_stays_under_its_key_space(tmp_path):
-    from char2cat.checks import VERIFY_LEVEL_CAP
-    from char2cat.cyclotomic import RING_LEVEL_CAP
-    from char2cat.fusion import STRUCTURE_LEVEL_CAP, gen_mul
-
-    bound = sum(n << n for n in range(RING_LEVEL_CAP + 1))
-    assert bound == 90114  # the bound gen_mul's docstring states
-    char2cat.clear_caches()
-    for argv in (["verify", "--max-level", str(VERIFY_LEVEL_CAP)],
-                 ["fusion", "--level", str(STRUCTURE_LEVEL_CAP)]):
-        assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
-        assert 0 < gen_mul.cache_info().currsize <= bound, argv
-    char2cat.clear_caches()
-
-
 def test_cartan_and_ext1_caches_hold_the_last_index():
     from char2cat.homology import cartan, ext1_matrix
 
@@ -108,15 +90,6 @@ def test_cartan_and_ext1_caches_hold_the_last_index():
         fn(12)
         assert fn.cache_info().currsize == 1, fn.__name__
         assert fn(12) is fn(12), fn.__name__
-
-
-def test_digit_images_fill_no_generator_cache():
-    from char2cat.fusion import gen_mul
-    from char2cat.tilting import digit_images
-
-    char2cat.clear_caches()
-    digit_images([*range(2048), 8191], 12)
-    assert gen_mul.cache_info().currsize == 0
 
 
 def _imported_roots(path):

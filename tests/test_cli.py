@@ -21,7 +21,6 @@ import char2cat
 import char2cat.cli as cli
 from char2cat import checks, cyclotomic, fusion, homology, invariants, tilting, writers
 from char2cat.cli import parse_json, run
-from char2cat.errors import NotIntegral
 
 # one invocation of every mode of every subcommand
 MODES = {
@@ -529,19 +528,23 @@ def test_inconsistent_tensor_table_exits_one(monkeypatch, capsys):
 
 
 def test_internal_inconsistency_exits_one(monkeypatch, capsys):
-    def not_integral(*args, **kwargs):
-        raise NotIntegral("forced")
+    # generator coefficients that would overflow int64 in the structure
+    # builder: its bound check refuses them before multiplying
+    def overflowing(i, n, terms=fusion._generator_terms):
+        out, inp, coeff = terms(i, n)
+        return out, inp, coeff << 61
 
-    monkeypatch.setattr(fusion, "exact_matmul", not_integral)
+    monkeypatch.setattr(fusion, "_generator_terms", overflowing)
     code, out, err = _run(capsys, ["fusion", "--level", "2"])
     assert code == 1 and out == ""
-    assert err == "char2cat: internal error: forced\n"
+    assert err.startswith("char2cat: internal error: structure-constant bound ")
+    assert err.endswith(" is not below 2**63\n")
 
 
 def _perturbed_recursion(n, route=fusion._structure_from_recursion):
-    tensor = route(n).copy()
-    tensor[0, 0, 0] += 1
-    return tensor
+    records = route(n).copy()
+    records[0, 3] += 1  # one wrong coefficient
+    return records
 
 
 @pytest.mark.parametrize("argv, module, name, fake, check", [

@@ -499,7 +499,15 @@ def test_exact_matmul_refuses_a_bound_reaching_2_53():
 
 
 def test_structure_builder_refuses_an_inexact_generator():
-    gmats = [fusion.generator_matrix(i, 2).copy() for i in (1, 2)]
-    gmats[1][0, 0] = 1 << 52
-    with pytest.raises(NotIntegral):
-        fusion._structure_from_products(gmats)
+    # at level 2 the records reach 2 before generator 2 is applied, and at
+    # most two of its terms go into one class: with its coefficient of
+    # X_2 X_0 raised to 2**60 the bound is 2**62 and the records exact in
+    # int64, raised to 2**61 the bound reaches 2**63 and nothing is multiplied
+    for big in (1 << 60, 1 << 61):
+        gens = [fusion._generator_terms(i, 2) for i in (1, 2)]
+        gens[1][2][0] = big
+        if big < 1 << 61:
+            assert fusion._subset_products(gens, 2)[:, 3].max() == 2 * big
+        else:
+            with pytest.raises(NotIntegral, match=r"is not below 2\*\*63"):
+                fusion._subset_products(gens, 2)

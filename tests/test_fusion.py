@@ -26,7 +26,6 @@ from char2cat.fusion import (
     fpdim,
     frobenius_twist,
     fusion_elt,
-    gen_mul,
     generator_matrix,
     mask_subset,
     mult_matrix,
@@ -72,6 +71,11 @@ def test_level_mismatch_rejected():
 # generator multiplication rule, hand-worked examples
 
 
+def gen_mul(i, mask, n):
+    """The ``i``-th generator times the class ``mask``, through ``product``."""
+    return product(simple_elt(n, 1 << (i - 1)), simple_elt(n, mask))
+
+
 def test_gen_mul_hand_examples():
     # level 1: X_1 * X_1 = 2 X_0  (largest admissible k is 0, so the
     # leading term drops and only the doubled sum survives)
@@ -98,10 +102,12 @@ def test_gen_mul_merges_disjoint_generator():
 
 
 def test_gen_mul_generator_range_checked():
+    from char2cat.fusion import _generator_terms
+
     with pytest.raises(SubsetOutOfRange, match=r"generator 3 outside 1\.\.2"):
-        gen_mul(3, 1, 2)
+        _generator_terms(3, 2)
     with pytest.raises(SubsetOutOfRange, match=r"generator 0 outside 1\.\.2"):
-        gen_mul(0, 1, 2)
+        _generator_terms(0, 2)
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +181,15 @@ def test_fpdim_of_simple_is_d_basis_element():
 # structure constants
 
 
+def dense_structure(records, n):
+    """The cube ``N[S][T][U]`` of the records ``(S, T, U, c)``, for the
+    tests that index it (levels <= 6)."""
+    assert n <= 6
+    cube = np.zeros((1 << n,) * 3, dtype=np.int64)
+    cube[tuple(records[:, :3].T)] = records[:, 3]
+    return cube
+
+
 def test_structure_routes_agree_small():
     from char2cat.fusion import (
         _structure_from_generators,
@@ -190,14 +205,25 @@ def test_structure_routes_agree_small():
         assert np.array_equal(gen, ora), n
 
 
+def test_structure_step_adds_up_terms_into_one_class():
+    # no route sends two terms of one (S, T) into one class at levels <= 8,
+    # so the merge is checked with an operator that does: X_0 + X_1 on both
+    # classes of level 1, applied to X_0 + X_1 as the records (0, 0, U, 1)
+    from char2cat import fusion
+
+    ones = tuple(np.array(v) for v in ([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]))
+    keys, coeffs = fusion._merge(*fusion._times(np.array([1, 0]), np.array([1, 1]), ones, 1))
+    assert keys.tolist() == [0, 1] and coeffs.tolist() == [2, 2]
+
+
 def test_oracle_route_uses_no_fusion_rule(monkeypatch):
     from char2cat import fusion
 
     def forbidden(*args):
         raise AssertionError("the oracle route reached the fusion rule")
 
-    monkeypatch.setattr(fusion, "gen_mul", forbidden)
-    monkeypatch.setattr(fusion, "generator_matrix", forbidden)
+    for name in ("_gen_mul_terms", "_generator_terms", "generator_matrix"):
+        monkeypatch.setattr(fusion, name, forbidden)
     for n in range(6):
         assert np.array_equal(
             fusion._structure_from_oracle(n), fusion._structure_from_recursion(n)
@@ -216,7 +242,8 @@ def test_recursion_reads_only_its_previous_tensor(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the level recursion left its own tensors")
 
-    for name in ("gen_mul", "generator_matrix", "d_basis_generator_matrix"):
+    for name in ("_gen_mul_terms", "_generator_terms", "generator_matrix",
+                 "d_basis_generator_matrix"):
         monkeypatch.setattr(fusion, name, forbidden)
     for n, want in enumerate(by_rule):
         assert np.array_equal(fusion._structure_from_recursion(n), want), n
@@ -227,7 +254,7 @@ def test_recursion_follows_the_presentation():
     from char2cat.fusion import _structure_from_recursion
 
     for n in range(2, 7):
-        t = _structure_from_recursion(n)
+        t = dense_structure(_structure_from_recursion(n), n)
         top, prev = 1 << (n - 1), 1 << (n - 2)
         want = np.zeros(1 << n, dtype=np.int64)
         want[0], want[prev] = 2, 1
@@ -236,7 +263,11 @@ def test_recursion_follows_the_presentation():
 
 def test_structure_tensor_entries_and_symmetry():
     for n in range(5):
-        t = structure_tensor(n)
+        records = structure_tensor(n)
+        t = dense_structure(records, n)
+        # the records are the cube's nonzero entries, in argwhere order
+        nz = np.argwhere(t != 0)
+        assert np.array_equal(records, np.column_stack([nz, t[tuple(nz.T)]]))
         vals = t[t != 0]
         assert ((vals & (vals - 1)) == 0).all()  # powers of two
         assert (vals > 0).all()
@@ -251,7 +282,8 @@ def test_structure_zero_patterns_from_level_recursion():
     # with the top generator on one side only, the output must contain
     # the top index; with it on both sides, the output must not
     for n in range(2, 5):
-        t = structure_tensor(n)
+        t = dense_structure(structure_tensor(n), n)
+        below = dense_structure(structure_tensor(n - 1), n - 1)
         top = 1 << (n - 1)
         for s in range(top):
             for tt in range(top):
@@ -261,7 +293,7 @@ def test_structure_zero_patterns_from_level_recursion():
                     assert t[s | top, tt | top, u | top] == 0
                     # inherited block equals the lower level
                     if n - 1 < STRUCTURE_LEVEL_CAP:
-                        assert t[s, tt, u] == structure_tensor(n - 1)[s, tt, u]
+                        assert t[s, tt, u] == below[s, tt, u]
 
 
 def test_structure_level_cap_named():
@@ -272,7 +304,7 @@ def test_structure_level_cap_named():
 def test_structure_tensor_totals_match_dimension_square():
     # sum_U N_{S,S}^U d_U = d_S^2 as exact ring elements
     n = 3
-    t = structure_tensor(n)
+    t = dense_structure(structure_tensor(n), n)
     for s in range(1 << n):
         total = CycInt.zero(n)
         for u in range(1 << n):

@@ -182,7 +182,7 @@ def test_library_refuses_past_its_caps_before_any_work(fn, args, cap_name):
 @pytest.mark.parametrize("j", [0, 1.5])
 def test_generator_range_has_one_class_and_one_wording(j):
     seen = []
-    for call in (lambda: fusion.gen_mul(j, 1, 2),
+    for call in (lambda: fusion._generator_terms(j, 2),
                  lambda: cyclotomic.d_basis_generator_matrix(j, 2)):
         with pytest.raises(Char2CatError) as info:
             call()

@@ -15,6 +15,12 @@ sends c_r to c_{r*2^(n-m)}, the automorphism delta_n -> -delta_n negates
 the odd-index coordinates, and numerical evaluation is a cosine sum.
 ``_cos_mul`` is the only product rule in the module.
 
+Both kernels, the product and the basis change to powers, work on the
+live span only: the entries up to the top nonzero index.  That index is
+small for the values the package builds (d_S has top index
+sum_{j in S} 2^(n-j) and 2^|S| unit coordinates, delta_n + 2 has top
+index 1), so the work follows the value, not the level.
+
 The distinguished basis d_S = prod_{j in S} delta_j (S a subset of {1..n},
 d_0 = 1) is the image of the simple objects.  One rule, ``_d_cos_indices``,
 gives the cosine support of every d_S; ``to_d_basis`` is the only solve
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -191,25 +198,39 @@ def delta_float(n: int) -> float:
 # cosine-basis internals
 
 
+def _top(vec) -> int:
+    """Index of the last nonzero entry of ``vec``, or 0 when there is none."""
+    return next(compress(range(len(vec) - 1, 0, -1), reversed(vec)), 0)
+
+
 def _cos_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product in cosine coordinates (index 0 = coefficient of 1).
 
-    The symmetric Laurent vectors (a_{N-1}, ..., a_1, a_0, a_1, ..., a_{N-1})
-    are convolved, which gives the coefficient of z^u (c_u for u > 0) in
-    the product, and the indices u > N fold back through c_u = -c_{2N-u}.
-    The convolution runs in int64 when every partial sum provably fits
-    (each output is at most 4N*max|a|*max|b| in absolute value) and in
-    exact object arithmetic otherwise.
+    Only the live spans take part: with ``ta`` and ``tb`` the top nonzero
+    indices, the symmetric Laurent vectors (a_ta, ..., a_1, a_0, a_1, ...,
+    a_ta) and likewise for b are convolved, which gives the coefficient of
+    z^u (c_u for u > 0) for u up to ta + tb, and only the indices u > N
+    fold back, through c_u = -c_{2N-u} (c_N = 0).  A zero factor gives zero
+    at once.  The convolution runs in int64 when every partial sum provably
+    fits (each output is a difference of two sums of at most
+    2*min(ta, tb) + 1 products, each at most max|a|*max|b|) and in exact
+    object arithmetic otherwise.
     """
     size = len(a)
-    bound = max(map(abs, a)) * max(map(abs, b)) * 4 * size
+    ta, tb = _top(a), _top(b)
+    if not (ta or a[0]) or not (tb or b[0]):
+        return (0,) * size
+    a, b = a[:ta + 1], b[:tb + 1]
+    bound = max(map(abs, a)) * max(map(abs, b)) * 2 * (2 * min(ta, tb) + 1)
     dtype = np.int64 if bound < 1 << 63 else object
-    full = np.convolve(
+    top = ta + tb
+    pos = np.convolve(
         np.array(a[:0:-1] + a, dtype=dtype), np.array(b[:0:-1] + b, dtype=dtype)
-    )
-    pos = full[2 * size - 2:]  # coefficients of z^0 .. z^(2N-2)
+    )[top:]  # coefficients of z^0 .. z^top
+    if top < size:
+        return tuple(pos.tolist()) + (0,) * (size - 1 - top)
     out = pos[:size].copy()
-    out[2:] -= pos[2 * size - 2:size:-1]
+    out[2 * size - top:] -= pos[top:size:-1]
     return tuple(out.tolist())
 
 
@@ -232,27 +253,29 @@ def _power_to_cos(coeffs, n: int) -> list[int]:
 
 
 def _cos_to_power(vec, n: int) -> list[int]:
-    """Inverse of _power_to_cos, by Clenshaw's recurrence.
+    """Inverse of _power_to_cos, by Clenshaw's recurrence on the live span.
 
     With c_{k+1} = delta*c_k - c_{k-1}, c_1 = delta and c_0 = 2, the
-    polynomials b_k = vec[k] + delta*b_{k+1} - b_{k+2} (k = N-1 .. 1) give
-    sum_k vec[k] c_k = vec[0] + delta*b_1 - 2*b_2.  Each step is one shifted
-    subtraction, so the power coefficients (hundreds of bits wide at the
-    top levels) are only ever added, never multiplied.
+    polynomials b_k = vec[k] + delta*b_{k+1} - b_{k+2} (k = top .. 1, top
+    the last nonzero index, above which every b_k is zero) give
+    sum_k vec[k] c_k = vec[0] + delta*b_1 - 2*b_2.  b_k has degree top - k,
+    so each step is one shifted subtraction over that prefix of the two
+    swapping buffers, and the power coefficients (hundreds of bits wide at
+    the top levels) are only ever added, never multiplied.
     """
-    size = 1 << n
-    b1 = np.zeros(size + 1, dtype=object)  # b_{k+1}, coefficient of delta^i at i
-    b2 = np.zeros(size + 1, dtype=object)  # b_{k+2}
-    for k in range(size - 1, 0, -1):
+    top = _top(vec)
+    b1 = np.zeros(top + 1, dtype=object)  # b_{k+1}, coefficient of delta^i at i
+    b2 = np.zeros(top + 1, dtype=object)  # b_{k+2}
+    for k in range(top, 0, -1):
+        width = top - k  # b_k has this many coefficients above the constant
         # b_k overwrites b_{k+2}: entry i becomes b_{k+1}[i-1] - b_{k+2}[i]
-        np.subtract(b1[:-1], b2[1:], out=b2[1:])
+        np.subtract(b1[:width], b2[1:width + 1], out=b2[1:width + 1])
         b2[0] = vec[k] - b2[0]
         b1, b2 = b2, b1
-    out = np.zeros(size + 1, dtype=object)
-    out[1:] = b1[:-1]
-    out -= 2 * b2
+    out = -2 * b2
+    out[1:] += b1[:-1]
     out[0] += vec[0]
-    return out[:size].tolist()
+    return out.tolist() + [0] * ((1 << n) - 1 - top)
 
 
 def _d_cos_indices(mask: int, n: int) -> tuple[int, ...]:
@@ -507,26 +530,7 @@ def to_d_basis(e: CycInt) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# exact float64 products, and matrix annihilation
-
-
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for integer-valued ``float64`` arrays, exactly and through BLAS.
-
-    Every partial sum of the product is at most ``k * max|a| * max|b|`` in
-    absolute value, ``k`` the inner dimension.  Below 2**53 each partial sum
-    is an integer that ``float64`` represents exactly, so the product is
-    exact integer arithmetic; otherwise ``NotIntegral`` is raised before
-    multiplying, and nothing is rounded.
-    """
-    if a.size and b.size:
-        bound = a.shape[-1] * _abs_max(a) * _abs_max(b)
-        if bound >= 1 << 53:
-            raise NotIntegral(
-                f"float64 product bound {bound} is not below 2**53, so it "
-                "would not be exact"
-            )
-    return a @ b
+# sparse int64 arithmetic, and matrix annihilation
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -534,23 +538,61 @@ def _abs_max(a: np.ndarray) -> int:
     return int(max(a.max(), -a.min()))
 
 
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index runs ``first[i] .. first[i] + count[i] - 1``, concatenated."""
+    ends = np.cumsum(count)
+    return np.repeat(first - (ends - count), count) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by key and add up equal keys' coefficients (``keys`` not empty)."""
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], coeffs[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(coeffs, first)
+
+
 def eval_min_poly_at_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     """p_n evaluated at an integer matrix through its nested form.
 
     Iterating M -> M@M - 2I realizes p_n = p_0((..(x^2-2)..)^2-2) with n
     squarings, which is exact and avoids the enormous dense coefficients.
-    The squarings are ``exact_matmul`` calls, so entries too large for an
-    exact ``float64`` product raise ``NotIntegral``.
+    Each squaring works on the nonzero entries alone, in int64: entry
+    (i, k, a) meets every entry (k, j, b) of row k, and the products a*b
+    are merged by (i, j).  At the fusion generators the squarings stay
+    sparse, since x_n^2 - 2 = x_(n-1).  ``NotIntegral`` is raised before a
+    squaring unless every sum, of at most the most entries in one row,
+    each at most max|entry|^2, and the 2 taken off the diagonal, stays in
+    int64.
     """
     check_level(n)
     mat = np.asarray(mat, dtype=np.int64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    work = mat.astype(np.float64)
-    eye2 = 2.0 * np.eye(mat.shape[0])
+    dim = mat.shape[0]
+    if not dim:
+        return mat
+    rows, cols = np.nonzero(mat)  # sorted by row
+    vals = mat[rows, cols]
+    diag = np.arange(dim, dtype=np.int64) * (dim + 1)
     for _ in range(n):
-        work = exact_matmul(work, work) - eye2
-    return work.astype(np.int64)
+        edges = np.searchsorted(rows, np.arange(dim + 1))
+        count = np.diff(edges)
+        bound = _abs_max(vals) ** 2 * int(count.max()) + 2 if vals.size else 2
+        if bound >= 1 << 63:
+            raise NotIntegral(f"matrix square bound {bound} is not below 2**63")
+        num = count[cols]
+        pos = _runs(edges[cols], num)
+        keys = np.repeat(rows * dim, num) + cols[pos]
+        prods = np.repeat(vals, num) * vals[pos]
+        keys, sums = _merge(np.concatenate([keys, diag]),
+                            np.concatenate([prods, np.full(dim, -2, dtype=np.int64)]))
+        live = sums != 0
+        rows, cols = np.divmod(keys[live], dim)
+        vals = sums[live]
+    out = np.zeros((dim, dim), dtype=np.int64)
+    out[rows, cols] = vals
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ iteration and the exact cyclotomic-arithmetic oracle, which feed their
 generators to one subset-product builder, and a level recursion built on
 the presentation ``x^2 = 2 + x'`` of each new generator ``x``.  Both build
 through one step, records times an operator given as ``(out, in, coeff)``
-terms, in ``int64`` index arrays.
+terms, in ``int64`` index arrays; every coefficient is positive, so no
+merged sum is 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 from .cyclotomic import (
     CycInt,
     _abs_max,
+    _merge,
+    _runs,
     check_generator,
     check_level,
     check_subset,
@@ -59,7 +62,9 @@ class FusionElt:
 
     ``coeffs`` is a sorted tuple of ``(mask, coefficient)`` pairs with all
     zero coefficients dropped.  Virtual (negative) coefficients are legal:
-    they arise transiently in polynomial evaluation.
+    they arise transiently in polynomial evaluation.  The constructor
+    validates every mask; arithmetic results, whose masks are valid by
+    construction, are built by ``_fusion_elt`` without that check.
     """
 
     level: int
@@ -93,7 +98,7 @@ class FusionElt:
         out = self.as_dict()
         for mask, c in other.coeffs:
             out[mask] = out.get(mask, 0) + c
-        return fusion_elt(self.level, out)
+        return _fusion_elt(self.level, out)
 
     __radd__ = __add__
 
@@ -125,6 +130,16 @@ def fusion_elt(level: int, mapping: dict[int, int]) -> FusionElt:
     """Normalize a mask -> coefficient mapping into a ``FusionElt``."""
     items = tuple(sorted((m, c) for m, c in mapping.items() if c != 0))
     return FusionElt(level, items)
+
+
+def _fusion_elt(level: int, mapping: dict[int, int]) -> FusionElt:
+    """``fusion_elt`` for a mapping whose level and masks are already valid,
+    without the constructor's checks."""
+    self = object.__new__(FusionElt)
+    object.__setattr__(self, "level", level)
+    object.__setattr__(self, "coeffs",
+                       tuple(sorted((m, c) for m, c in mapping.items() if c != 0)))
+    return self
 
 
 def simple_elt(level: int, mask: int) -> FusionElt:
@@ -176,7 +191,7 @@ def product(a: FusionElt, b: FusionElt) -> FusionElt:
             cur = nxt
         for mask, c in cur.items():
             out[mask] = out.get(mask, 0) + sc * c
-    return fusion_elt(n, out)
+    return _fusion_elt(n, out)
 
 
 def _generator_terms(i: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,14 +220,6 @@ def _records(keys: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([keys >> 2 * n, keys >> n & low, keys & low, coeffs])
 
 
-def _merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by key and add up equal keys' coefficients (positive, so no sum is 0)."""
-    order = np.argsort(keys)
-    keys, coeffs = keys[order], coeffs[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[first], np.add.reduceat(coeffs, first)
-
-
 def _times(keys: np.ndarray, coeffs: np.ndarray, terms, n: int):
     """``x N`` unmerged: record ``(S, T, U, c)`` at level ``n`` gives ``(S, T,
     out, c * coeff)`` for each term of ``x`` with ``in = U``, the terms sorted
@@ -226,8 +233,7 @@ def _times(keys: np.ndarray, coeffs: np.ndarray, terms, n: int):
     u = keys & ((1 << n) - 1)
     edges = np.searchsorted(inp, np.arange((1 << n) + 1))
     first, count = edges[u], edges[u + 1] - edges[u]
-    ends = np.cumsum(count)
-    pos = np.repeat(first - (ends - count), count) + np.arange(ends[-1])
+    pos = _runs(first, count)
     return np.repeat(keys - u, count) + out[pos], np.repeat(coeffs, count) * coeff[pos]
 
 

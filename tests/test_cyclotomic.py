@@ -1,6 +1,7 @@
 """Exact-arithmetic core: generator minimal polynomials, ring elements,
 the product basis, embeddings, and conjugates."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from char2cat.cyclotomic import (
     delta_float,
     embed,
     eval_min_poly_at_matrix,
-    exact_matmul,
     min_poly,
     to_d_basis,
 )
@@ -270,6 +270,94 @@ def test_cosine_product_matches_power_basis_reference(level, wide, data):
     assert (a * b).coeffs == _power_basis_mul(a, b).coeffs
 
 
+def test_zero_factor_product_does_not_overflow():
+    # Horner starts from target * 0; the zero factor used to give the int64
+    # bound 0 and cast the other, wide factor to int64
+    from char2cat.chebyshev import eval_poly
+    from char2cat.cyclotomic import IntPoly
+
+    wide = CycInt.from_cos(2, (1 << 70, 0, 0, 0))
+    assert eval_poly(IntPoly((0, 1)), wide) == wide
+    assert (CycInt.zero(2) * wide).cos == (0, 0, 0, 0)
+    assert (wide * CycInt.zero(2)).cos == (0, 0, 0, 0)
+
+
+def _full_cos_mul(a, b):
+    """Reference product: the full symmetric vectors convolved in object
+    arithmetic, then every index above N folded back."""
+    size = len(a)
+    full = np.convolve(
+        np.array(a[:0:-1] + a, dtype=object), np.array(b[:0:-1] + b, dtype=object)
+    )
+    pos = full[2 * size - 2:]
+    out = pos[:size].copy()
+    out[2:] -= pos[2 * size - 2:size:-1]
+    return tuple(out.tolist())
+
+
+_SPAN_COEFF = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=1 << 29, max_value=1 << 31),  # near the int64 bound
+    st.integers(min_value=1 << 63, max_value=1 << 70),
+    st.integers(min_value=-(1 << 70), max_value=-(1 << 63)),
+)
+
+
+@st.composite
+def _spanned(draw, level):
+    """A cosine vector at ``level`` with a drawn top nonzero index (0, 1,
+    N - 1 or anywhere) and a few nonzero entries below it, or zero."""
+    size = 1 << level
+    if draw(st.integers(0, 7)) == 0:
+        return (0,) * size
+    top = draw(st.one_of(st.sampled_from([0, min(1, size - 1), size - 1]),
+                         st.integers(0, size - 1)))
+    vec = [0] * size
+    for k, v in draw(st.dictionaries(st.integers(0, top), _SPAN_COEFF, max_size=6)).items():
+        vec[k] = v
+    vec[top] = draw(_SPAN_COEFF.filter(bool))
+    return tuple(vec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(level=st.integers(min_value=0, max_value=9), data=st.data())
+def test_trimmed_cos_mul_matches_untrimmed_object_convolution(level, data):
+    from char2cat.cyclotomic import _cos_mul
+
+    a = data.draw(_spanned(level))
+    b = data.draw(_spanned(level))
+    got = _cos_mul(a, b)
+    assert got == _full_cos_mul(a, b)
+    assert all(type(v) is int for v in got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(level=st.integers(min_value=0, max_value=9), data=st.data())
+def test_live_span_clenshaw_round_trips_with_power_expansion(level, data):
+    from char2cat.cyclotomic import _cos_to_power, _power_to_cos
+
+    vec = data.draw(_spanned(level))
+    power = _cos_to_power(vec, level)
+    assert len(power) == 1 << level
+    assert all(type(v) is int for v in power)
+    assert tuple(_power_to_cos(power, level)) == vec
+    # and the other way: a power vector with a drawn top comes back
+    power = data.draw(_spanned(level))
+    assert tuple(_cos_to_power(_power_to_cos(power, level), level)) == power
+
+
+def test_d_basis_coeffs_unchanged_up_to_level_8():
+    # sha256 of the power coefficients of every d_S, levels 0..8 in mask
+    # order, as the full-length Clenshaw recurrence gave them
+    sha = hashlib.sha256()
+    for n in range(9):
+        for mask in range(1 << n):
+            sha.update(repr(d_basis_element(mask, n).coeffs).encode())
+    assert sha.hexdigest() == (
+        "c803ef43ccd75c2dff904774679a31357fc8a696f543d83663e0f00566689f30"
+    )
+
+
 def test_from_cos_takes_fixed_width_input_exactly():
     big = 1 << 40
     e = CycInt.from_cos(1, np.array([big, big], dtype=np.int64))
@@ -478,24 +566,19 @@ def test_eval_min_poly_at_matrix_guards_overflow():
         eval_min_poly_at_matrix(4, np.array([[1 << 21]], dtype=np.int64))
 
 
-def test_exact_matmul_matches_object_reference():
-    rng = np.random.default_rng(7)
-    for rows, inner, cols in ((1, 1, 1), (3, 5, 2), (8, 8, 8), (16, 4, 9)):
-        a = rng.integers(-50, 51, size=(rows, inner))
-        b = rng.integers(-50, 51, size=(inner, cols))
-        got = exact_matmul(a.astype(np.float64), b.astype(np.float64))
-        want = a.astype(object) @ b.astype(object)
-        assert np.array_equal(got.astype(np.int64).astype(object), want)
-
-
-def test_exact_matmul_refuses_a_bound_reaching_2_53():
-    big = np.full((1, 4), float(1 << 25))
-    ok = exact_matmul(big, np.full((4, 1), float((1 << 26) - 1)))
-    assert int(ok[0, 0]) == 4 * (1 << 25) * ((1 << 26) - 1)
-    with pytest.raises(NotIntegral):
-        exact_matmul(big, np.full((4, 1), float(1 << 26)))
-    with pytest.raises(NotIntegral):
-        exact_matmul(-big, np.full((4, 1), float(1 << 26)))
+def test_eval_min_poly_at_matrix_guards_the_int64_bound_exactly():
+    # one squaring of [[x]] is x^2 - 2, whose bound x^2 + 2 must stay below
+    # 2**63: 3037000499 is the largest such x, and its square is no float64
+    root = 3037000499
+    assert eval_min_poly_at_matrix(1, np.array([[root]]))[0, 0] == root * root - 2
+    assert eval_min_poly_at_matrix(1, np.array([[(1 << 27) + 1]]))[0, 0] == (
+        ((1 << 27) + 1) ** 2 - 2
+    )
+    with pytest.raises(NotIntegral, match=r"is not below 2\*\*63"):
+        eval_min_poly_at_matrix(1, np.array([[root + 1]]))
+    assert eval_min_poly_at_matrix(3, np.zeros((0, 0), dtype=np.int64)).shape == (0, 0)
+    # p_2(0) = (0^2 - 2)^2 - 2: a zero matrix has no entries to square
+    assert np.array_equal(eval_min_poly_at_matrix(2, np.zeros((2, 2))), 2 * np.eye(2))
 
 
 def test_structure_builder_refuses_an_inexact_generator():

@@ -60,6 +60,23 @@ def test_element_arithmetic_with_int_absorption():
     assert (-a).as_dict() == {3: -1}
 
 
+def test_only_public_constructors_validate_masks(monkeypatch):
+    from char2cat import fusion
+
+    with pytest.raises(SubsetOutOfRange):
+        FusionElt(2, ((4, 1),))
+    with pytest.raises(ValueError, match="zero coefficients"):
+        FusionElt(2, ((1, 0),))
+    a, b = simple_elt(5, 22), simple_elt(5, 13) + simple_elt(5, 31)
+    want = fusion_elt(5, product(a, b).as_dict())
+    calls = []
+    monkeypatch.setattr(fusion, "check_subset", lambda *args: calls.append(args))
+    assert product(a, b) == want and (a + b).level == 5
+    assert not calls
+    fusion_elt(5, {3: 1})
+    assert calls == [(3, 5)]
+
+
 def test_level_mismatch_rejected():
     with pytest.raises(LevelMismatch):
         simple_elt(1, 1) + simple_elt(2, 1)

@@ -2,9 +2,9 @@
 command checks.
 
 Each suite check is a function of ``max_level`` returning ``(passed,
-detail)``; ``CHECKS`` maps the printed check names to them.  A predicate
-used both by a command's report and by a suite check lives here once, so
-the two always test the same property.
+detail)``; ``CHECKS`` maps the printed check names to them, and ``run``
+runs them all.  A predicate used both by a command's report and by a
+suite check lives here once, so the two always test the same property.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 from . import chebyshev, cyclotomic, fusion, homology, invariants, tilting
 from .writers import COMPARE_BLOCK, row_slices
 
-__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "symmetric", "zero_or_one", "nonzero_powers_of_two",
-           "dickson_coeffs", "min_poly_matches_dickson",
+__all__ = ["CHECKS", "VERIFY_LEVEL_CAP", "run", "symmetric", "zero_or_one",
+           "nonzero_powers_of_two", "dickson_coeffs", "min_poly_matches_dickson",
            "total_dimension_matches_closed_form", "expected_component_count"]
 
 #: Largest ``max_level`` the suite accepts.  The suite passes at it in
@@ -356,3 +356,18 @@ CHECKS = {
     "tilting/g-vs-chebyshev": tilting_g_polys,
     "tilting/tensor-triangular": tilting_triangular,
 }
+
+
+def run(max_level: int) -> list[tuple[str, bool, str]]:
+    """``(name, passed, detail)`` for every suite check, sorted by name,
+    after refusing a ``max_level`` outside ``0..VERIFY_LEVEL_CAP``.  A
+    check that raises counts as failed."""
+    cyclotomic.check_level(max_level, VERIFY_LEVEL_CAP, "verify level", "VERIFY_LEVEL_CAP")
+    out = []
+    for name, check in sorted(CHECKS.items()):
+        try:
+            passed, detail = check(max_level)
+        except Exception as exc:  # a crashed check is a failed check
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        out.append((name, passed, detail))
+    return out

@@ -1,17 +1,18 @@
 """Command-line front end.
 
 One table, ``COMMANDS``, declares every subcommand: its help text, its
-arguments and its ``Mode``s.  The parser, the mode choice, the caps, the
-CSV refusal and the dispatch are all read from it.  ``run`` picks the
-mode, checks its caps in order with ``cyclotomic.check_level`` (one
-wording for every negative or oversized value, naming the cap), refuses
-an undefined CSV, and only then calls the handler, which fills the
-``Report``: the echoed command and parameters, the payload, and named
-pass/fail checks.  So every usage error comes before any work, and
-nothing is written before the report is complete.  Exit status is 0 on
-success, 1 when any check fails or a computation meets an internal
-inconsistency (``NotIntegral``, ``NotTiltingCharacter``), and 2 on usage
-errors, an unwritable ``--out`` included.
+arguments and its ``Mode``s.  The parser, the mode choice, the CSV
+refusal and the dispatch are all read from it.  ``run`` picks the mode,
+refuses an undefined CSV, and only then calls the handler, which fills
+the ``Report``: the echoed command and parameters, the payload, and
+named pass/fail checks.  A cap is checked only by the module that
+declares it, in the first library call of each handler, so every usage
+error still comes before any work; ``tilt --functor`` checks its two
+bounds itself, since ``digit_images`` takes any index.  Nothing is
+written before the report is complete.  Exit status is 0 on success, 1
+when any check fails or a computation meets an internal inconsistency
+(``NotIntegral``, ``NotTiltingCharacter``), and 2 on usage errors, an
+unwritable ``--out`` included.
 
 JSON is written by ``emit_json``, whose bytes are those of
 ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted keys, and
@@ -344,7 +345,9 @@ def _decompose(args, rep: Report) -> dict:
 
 
 def _functor(args, rep: Report) -> dict:
-    n = args.functor
+    # both bounds before 1 << (n + 1): digit_images takes any index
+    cyclotomic.check_level(args.max_m, tilting.TILT_INDEX_CAP, "tilt index", "TILT_INDEX_CAP")
+    n = cyclotomic.check_level(args.functor, what="functor level")
     top = (1 << (n + 1)) - 1
     imgs = tilting.digit_images([*range(args.max_m + 1), top], n)
     rep.add_check(
@@ -379,11 +382,7 @@ def _minpoly(args, rep: Report) -> dict:
 
 
 def _verify(args, rep: Report) -> dict:
-    for name, check in sorted(checks.CHECKS.items()):
-        try:
-            passed, detail = check(args.max_level)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    for name, passed, detail in checks.run(args.max_level):
         rep.add_check(name, passed, detail)
     return {"max_level": args.max_level, "checks_run": len(rep.checks),
             "failures": sum(not c["pass"] for c in rep.checks)}
@@ -407,28 +406,25 @@ def _render(report: Report, fmt: str, mode: Mode, write) -> None:
 
 
 # ----------------------------------------------------------------------
-# the command table: argument parsing, mode choice, caps and dispatch
+# the command table: argument parsing, mode choice and dispatch
 
 
 @dataclass(frozen=True)
 class Mode:
     """One mode of a subcommand.  ``flags`` are the arguments that select
-    it (none for the default mode); ``caps`` are ``(argument, what, cap,
-    cap name)``, checked in order before any work; ``handler(args, report)``
-    adds the checks and returns the payload, which ``text`` and ``csv``
-    write (``csv`` is ``None`` where CSV is not defined).  The report echoes
-    the flags, the capped arguments and ``echo``."""
+    it (none for the default mode); ``handler(args, report)`` adds the
+    checks and returns the payload, which ``text`` and ``csv`` write
+    (``csv`` is ``None`` where CSV is not defined).  The report echoes the
+    flags and ``echo``."""
 
     handler: Callable
     text: Callable
     csv: Callable | None = None
     flags: tuple = ()
-    caps: tuple = ()
     echo: tuple = ()
 
     def params(self, args) -> dict:
-        names = dict.fromkeys([*self.flags, *(cap[0] for cap in self.caps), *self.echo])
-        return {name: getattr(args, name) for name in names}
+        return {name: getattr(args, name) for name in self.flags + self.echo}
 
 
 @dataclass(frozen=True)
@@ -438,30 +434,24 @@ class Command:
     modes: tuple
 
 
-_RING_LEVEL = ("level", "level", cyclotomic.RING_LEVEL_CAP, "RING_LEVEL_CAP")
-_CHAIN_INDEX = ("index", "chain index", homology.CATEGORY_INDEX_CAP, "CATEGORY_INDEX_CAP")
-_TILT_INDEX = ("max_m", "tilt index", tilting.TILT_INDEX_CAP, "TILT_INDEX_CAP")
-
 COMMANDS = {
     "fusion": Command(
         "products and structure constants of the fusion ring",
         {"--level": dict(type=int, required=True),
          "--left": dict(type=int, help="left class as its printed index"),
          "--right": dict(type=int, help="right class as its printed index")},
-        (Mode(_product, _text_product, flags=("left", "right"), caps=(_RING_LEVEL,)),
-         Mode(_structure, _text_structure, _csv_structure,
-              caps=(("level", "structure-tensor level", fusion.STRUCTURE_LEVEL_CAP,
-                     "STRUCTURE_LEVEL_CAP"),))),
+        (Mode(_product, _text_product, flags=("left", "right"), echo=("level",)),
+         Mode(_structure, _text_structure, _csv_structure, echo=("level",))),
     ),
     "cartan": Command(
         "Cartan matrix of a chain member",
         {"--index": dict(type=int, required=True)},
-        (Mode(_cartan, _text_matrix, _csv_matrix, caps=(_CHAIN_INDEX,)),),
+        (Mode(_cartan, _text_matrix, _csv_matrix, echo=("index",)),),
     ),
     "ext1": Command(
         "first-extension matrix and block components",
         {"--index": dict(type=int, required=True)},
-        (Mode(_ext1, _text_ext1, _csv_matrix, caps=(_CHAIN_INDEX,)),),
+        (Mode(_ext1, _text_ext1, _csv_matrix, echo=("index",)),),
     ),
     "fpdim": Command(
         "exact dimension values",
@@ -471,13 +461,9 @@ COMMANDS = {
          "--category": dict(action="store_true", help="total dimension of the chain member"),
          "--algebra": dict(action="store_true",
                            help="dimension of the level-raising algebra object")},
-        (Mode(_simple_fpdim, _text_fields, flags=("simple",), caps=(_RING_LEVEL,)),
-         Mode(_category_fpdim, _text_fields, flags=("category",),
-              caps=(("level", "chain index", homology.CATEGORY_INDEX_CAP,
-                     "CATEGORY_INDEX_CAP"),)),
-         Mode(_algebra_fpdim, _text_fields, flags=("algebra",),
-              caps=(("level", "algebra level", cyclotomic.RING_LEVEL_CAP - 1,
-                     "RING_LEVEL_CAP-1"),))),
+        (Mode(_simple_fpdim, _text_fields, flags=("simple",), echo=("level",)),
+         Mode(_category_fpdim, _text_fields, flags=("category",), echo=("level",)),
+         Mode(_algebra_fpdim, _text_fields, flags=("algebra",), echo=("level",))),
     ),
     "tilt": Command(
         "tilting character calculus",
@@ -488,34 +474,27 @@ COMMANDS = {
          "--functor": dict(type=int, metavar="N",
                            help="images of the indecomposables in the level-N fusion ring")},
         (Mode(_tilt_table, _text_tilt_table, _csv_tilt_table, flags=("table",),
-              caps=(_TILT_INDEX,)),
-         Mode(_decompose, _text_decompose, flags=("decompose",),
-              caps=(("decompose", "tensor power", tilting.TILT_INDEX_CAP, "TILT_INDEX_CAP"),)),
-         Mode(_functor, _text_functor, flags=("functor",),
-              caps=(_TILT_INDEX, ("functor", "functor level", cyclotomic.RING_LEVEL_CAP,
-                                  "RING_LEVEL_CAP")))),
+              echo=("max_m",)),
+         Mode(_decompose, _text_decompose, flags=("decompose",)),
+         Mode(_functor, _text_functor, flags=("functor",), echo=("max_m",))),
     ),
     "invariants": Command(
         "invariant dimensions by multiple routes",
         {"--level": dict(type=int, required=True),
          "--max-m": dict(type=int, required=True),
          "--route": dict(choices=(*invariants.ROUTES, "all"), default="all")},
-        (Mode(_invariants, _text_invariants, _csv_invariants, echo=("route",),
-              caps=(("level", "invariants level", invariants.INVARIANTS_LEVEL_CAP,
-                     "INVARIANTS_LEVEL_CAP"),
-                    ("max_m", "--max-m", invariants.SERIES_ORDER_CAP, "SERIES_ORDER_CAP"))),),
+        (Mode(_invariants, _text_invariants, _csv_invariants,
+              echo=("level", "max_m", "route")),),
     ),
     "minpoly": Command(
         "minimal polynomial of the ring generator",
         {"--level": dict(type=int, required=True)},
-        (Mode(_minpoly, _text_fields, caps=(_RING_LEVEL,)),),
+        (Mode(_minpoly, _text_fields, echo=("level",)),),
     ),
     "verify": Command(
         "run the cross-check suite",
         {"--max-level": dict(type=int, default=4)},
-        (Mode(_verify, _text_verify,
-              caps=(("max_level", "verify level", checks.VERIFY_LEVEL_CAP,
-                     "VERIFY_LEVEL_CAP"),)),),
+        (Mode(_verify, _text_verify, echo=("max_level",)),),
     ),
 }
 
@@ -575,8 +554,6 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         mode = _pick_mode(args)
-        for name, what, cap, cap_name in mode.caps:
-            cyclotomic.check_level(getattr(args, name), cap, what, cap_name)
         if args.format == "csv" and mode.csv is None:
             raise ValueError(f"--format csv is not defined for this {args.command} mode")
         report = Report(args.command, mode.params(args))

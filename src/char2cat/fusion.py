@@ -103,7 +103,7 @@ class FusionElt:
     __radd__ = __add__
 
     def __neg__(self):
-        return FusionElt(self.level, tuple((m, -c) for m, c in self.coeffs))
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -112,9 +112,7 @@ class FusionElt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return FusionElt(self.level, ())
-            return FusionElt(self.level, tuple((m, c * other) for m, c in self.coeffs))
+            return _fusion_elt(self.level, {m: c * other for m, c in self.coeffs})
         return product(self, other)
 
     __rmul__ = __mul__

@@ -5,7 +5,9 @@ defines, and every usage-error and cap-violation path.
 sha256 of its stdout, its exit code and the sha256 of its stderr, each argv
 run in-process through ``cli.run``.  ``tests/test_corpus.py`` reruns the
 grid and compares.  Regenerate the corpus only with a change that alters
-output on purpose, and list each changed argv in CHANGES.md:
+output on purpose, and list each changed argv in CHANGES.md; the script
+prints, on stderr, every argv it added, removed or changed, with the
+fields that changed:
 
     PYTHONPATH=src python tests/make_corpus.py
 """
@@ -186,8 +188,17 @@ def compute(argvs) -> dict:
 
 
 def main() -> None:
+    old = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
     corpus = compute(grid())
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    for key in sorted(old.keys() | corpus.keys()):
+        if key not in corpus:
+            print(f"removed: {key}", file=sys.stderr)
+        elif key not in old:
+            print(f"added: {key}", file=sys.stderr)
+        elif old[key] != corpus[key]:
+            fields = ", ".join(f for f in corpus[key] if old[key][f] != corpus[key][f])
+            print(f"changed ({fields}): {key}", file=sys.stderr)
     print(f"wrote {len(corpus)} entries to {CORPUS}", file=sys.stderr)
 
 

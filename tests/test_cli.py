@@ -471,17 +471,44 @@ _CAP_CASES = [
 ]
 
 
+_RING = cyclotomic.RING_LEVEL_CAP
+_CHAIN = homology.CATEGORY_INDEX_CAP
+_TILT = tilting.TILT_INDEX_CAP
+
+#: Every capped argument of every mode: ``(mode, argument, what, cap, cap
+#: name)``, as the library function that declares the cap words it.
+_CAPPED = [
+    ("fusion product", "level", "level", _RING, "RING_LEVEL_CAP"),
+    ("fusion table", "level", "structure-tensor level", fusion.STRUCTURE_LEVEL_CAP,
+     "STRUCTURE_LEVEL_CAP"),
+    ("cartan", "index", "chain index", _CHAIN, "CATEGORY_INDEX_CAP"),
+    ("ext1", "index", "chain index", _CHAIN, "CATEGORY_INDEX_CAP"),
+    ("fpdim simple", "level", "level", _RING, "RING_LEVEL_CAP"),
+    ("fpdim category", "level", "chain index", _CHAIN, "CATEGORY_INDEX_CAP"),
+    ("fpdim algebra", "level", "algebra level", _RING - 1, "RING_LEVEL_CAP-1"),
+    ("tilt table", "max_m", "tilt index", _TILT, "TILT_INDEX_CAP"),
+    ("tilt decompose", "decompose", "tensor power", _TILT, "TILT_INDEX_CAP"),
+    ("tilt functor", "max_m", "tilt index", _TILT, "TILT_INDEX_CAP"),
+    ("tilt functor", "functor", "functor level", _RING, "RING_LEVEL_CAP"),
+    ("invariants", "level", "invariants level", invariants.INVARIANTS_LEVEL_CAP,
+     "INVARIANTS_LEVEL_CAP"),
+    ("invariants", "max_m", "order", invariants.SERIES_ORDER_CAP, "SERIES_ORDER_CAP"),
+    ("minpoly", "level", "level", _RING, "RING_LEVEL_CAP"),
+    ("verify", "max_level", "verify level", checks.VERIFY_LEVEL_CAP, "VERIFY_LEVEL_CAP"),
+]
+
+
 def test_cap_violations_name_the_cap(capsys):
+    assert {mode for mode, *_ in _CAPPED} == set(MODES)
     cases = list(_CAP_CASES)
-    for argv in MODES.values():
-        for name, what, cap, cap_name in _mode(argv).caps:
-            cases += [
-                (_with(argv, name, cap + 1),
-                 f"char2cat: error: {what} {cap + 1} exceeds the cap {cap_name}={cap}\n"),
-                (_with(argv, name, -1),
-                 f"char2cat: error: {what} must be a nonnegative integer, got -1\n"),
-            ]
-    assert all(_mode(argv).caps for argv in MODES.values())
+    for mode, name, what, cap, cap_name in _CAPPED:
+        argv = MODES[mode]
+        cases += [
+            (_with(argv, name, cap + 1),
+             f"char2cat: error: {what} {cap + 1} exceeds the cap {cap_name}={cap}\n"),
+            (_with(argv, name, -1),
+             f"char2cat: error: {what} must be a nonnegative integer, got -1\n"),
+        ]
     for argv, named in cases:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == "" and named in err, argv
@@ -498,7 +525,7 @@ def test_negative_invariants_order_is_a_usage_error(capsys, route):
         capsys, ["invariants", "--level", "1", "--max-m", "-1", "--route", route]
     )
     assert code == 2 and out == ""
-    assert err == "char2cat: error: --max-m must be a nonnegative integer, got -1\n"
+    assert err == "char2cat: error: order must be a nonnegative integer, got -1\n"
 
 
 @pytest.mark.parametrize("route", ["recursion", "paths", "series", "all"])

@@ -72,6 +72,8 @@ def test_only_public_constructors_validate_masks(monkeypatch):
     calls = []
     monkeypatch.setattr(fusion, "check_subset", lambda *args: calls.append(args))
     assert product(a, b) == want and (a + b).level == 5
+    assert (-a).as_dict() == {22: -1} and (a - b).as_dict() == {13: -1, 22: 1, 31: -1}
+    assert (3 * a).as_dict() == {22: 3} and (a * 0).is_zero
     assert not calls
     fusion_elt(5, {3: 1})
     assert calls == [(3, 5)]

@@ -7,7 +7,7 @@ its own definition: a command, a check or a route reads it.  The source is
 parsed, not imported, so a name read only by the tests does not count.
 Every error class is raised somewhere, the range errors only by the shared
 checks of ``cyclotomic``, and the library refuses an argument past an
-advertised cap before it does any work.
+advertised cap, or a negative one, before it does any work.
 """
 
 import ast
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import char2cat
-from char2cat import cyclotomic, fusion, invariants, tilting
+from char2cat import checks, cli, cyclotomic, fusion, homology, invariants, tilting
 from char2cat.errors import Char2CatError, LevelTooLarge, SubsetOutOfRange
 
 SRC = Path(char2cat.__file__).parent
@@ -146,37 +146,92 @@ def test_the_error_probes_see_raises_and_constructions():
         ("m", "check_level"), ("m", "A")}
 
 
-#: Library calls one step past an advertised cap, with the cap they name;
-#: the other arguments are the largest the caps allow.
+def _case(fn, others, name, cap, cap_name, id=None):
+    return pytest.param(fn, others, name, cap, cap_name, id=id or fn.__name__)
+
+
+_SERIES = invariants.SERIES_ORDER_CAP
+_INV_LEVEL = invariants.INVARIANTS_LEVEL_CAP
+_TILT = tilting.TILT_INDEX_CAP
+
+#: The first library call of every command handler, and the invariant
+#: routes and tilting tables besides: ``(function, other arguments,
+#: capped argument, cap, cap name)``.  The other arguments are the largest
+#: the caps allow.
 PAST_THE_CAP = [
-    (invariants.paths_column,
-     (invariants.INVARIANTS_LEVEL_CAP + 1, invariants.SERIES_ORDER_CAP), "INVARIANTS_LEVEL_CAP"),
-    (invariants.recursion_column,
-     (invariants.INVARIANTS_LEVEL_CAP + 1, invariants.SERIES_ORDER_CAP), "INVARIANTS_LEVEL_CAP"),
-    (invariants.series_f,
-     (invariants.INVARIANTS_LEVEL_CAP + 1, invariants.SERIES_ORDER_CAP), "INVARIANTS_LEVEL_CAP"),
-    (tilting.tensor_v_rows, (tilting.TILT_INDEX_CAP + 1,), "TILT_INDEX_CAP"),
-    (tilting.tensor_power_decompose, (tilting.TILT_INDEX_CAP + 1,), "TILT_INDEX_CAP"),
-    (tilting.functor_images, (tilting.TILT_INDEX_CAP + 1, 2), "TILT_INDEX_CAP"),
-    (tilting.in_T1_polynomial, (tilting.TILT_INDEX_CAP + 1,), "TILT_INDEX_CAP"),
+    _case(invariants.paths_column, {"top": _SERIES}, "n", _INV_LEVEL, "INVARIANTS_LEVEL_CAP"),
+    _case(invariants.recursion_column, {"top": _SERIES}, "n", _INV_LEVEL,
+          "INVARIANTS_LEVEL_CAP"),
+    _case(invariants.series_f, {"order": _SERIES}, "n", _INV_LEVEL, "INVARIANTS_LEVEL_CAP"),
+    _case(invariants.paths_column, {"n": _INV_LEVEL}, "top", _SERIES, "SERIES_ORDER_CAP",
+          id="paths_column-top"),
+    _case(invariants.recursion_column, {"n": _INV_LEVEL}, "top", _SERIES, "SERIES_ORDER_CAP",
+          id="recursion_column-top"),
+    _case(invariants.series_f, {"n": _INV_LEVEL}, "order", _SERIES, "SERIES_ORDER_CAP",
+          id="series_f-order"),
+    _case(tilting.tensor_v_rows, {}, "m", _TILT, "TILT_INDEX_CAP"),
+    _case(tilting.tensor_power_decompose, {}, "r", _TILT, "TILT_INDEX_CAP"),
+    _case(tilting.functor_images, {"n": 2}, "m", _TILT, "TILT_INDEX_CAP"),
+    _case(tilting.in_T1_polynomial, {}, "m", _TILT, "TILT_INDEX_CAP"),
+    _case(fusion.simple_elt, {"mask": 0}, "level", cyclotomic.RING_LEVEL_CAP, "RING_LEVEL_CAP"),
+    _case(fusion.structure_tensor, {}, "n", fusion.STRUCTURE_LEVEL_CAP, "STRUCTURE_LEVEL_CAP"),
+    _case(homology.cartan, {}, "m", homology.CATEGORY_INDEX_CAP, "CATEGORY_INDEX_CAP"),
+    _case(homology.ext1_matrix, {}, "m", homology.CATEGORY_INDEX_CAP, "CATEGORY_INDEX_CAP"),
+    _case(homology.category_fpdim, {}, "m", homology.CATEGORY_INDEX_CAP, "CATEGORY_INDEX_CAP"),
+    _case(homology.algebra_fpdim, {}, "n", cyclotomic.RING_LEVEL_CAP - 1, "RING_LEVEL_CAP-1"),
+    _case(cyclotomic.min_poly, {}, "n", cyclotomic.RING_LEVEL_CAP, "RING_LEVEL_CAP"),
+    _case(checks.run, {}, "max_level", checks.VERIFY_LEVEL_CAP, "VERIFY_LEVEL_CAP"),
 ]
 
 
-@pytest.mark.parametrize("fn, args, cap_name", PAST_THE_CAP,
-                         ids=[fn.__name__ for fn, _, _ in PAST_THE_CAP])
-def test_library_refuses_past_its_caps_before_any_work(fn, args, cap_name):
+def _before_any_work(call):
+    """``call()``, checked to take under 0.1 s and 64 KB traced."""
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
-        with pytest.raises(LevelTooLarge) as info:
-            fn(*args)
+        result = call()
         elapsed = time.perf_counter() - t0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert f"exceeds the cap {cap_name}=" in str(info.value)
     assert elapsed < 0.1
     assert peak < 64 * 1024
+    return result
+
+
+def _refusal(fn, **kwargs) -> str:
+    """The message of the ``LevelTooLarge`` that ``fn(**kwargs)`` raises."""
+    with pytest.raises(LevelTooLarge) as info:
+        fn(**kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fn, others, name, cap, cap_name", PAST_THE_CAP)
+def test_library_refuses_past_its_caps_before_any_work(fn, others, name, cap, cap_name):
+    message = _before_any_work(lambda: _refusal(fn, **others, **{name: cap + 1}))
+    assert message.endswith(f" {cap + 1} exceeds the cap {cap_name}={cap}")
+
+
+@pytest.mark.parametrize("fn, others, name, cap, cap_name", PAST_THE_CAP)
+def test_library_refuses_negative_arguments_before_any_work(fn, others, name, cap, cap_name):
+    message = _before_any_work(lambda: _refusal(fn, **others, **{name: -1}))
+    assert message.endswith(" must be a nonnegative integer, got -1")
+
+
+# ``digit_images`` takes any index, so ``tilt --functor`` checks both of
+# its bounds itself, the output bound first
+@pytest.mark.parametrize("argv, message", [
+    (["tilt", "--functor", str(10**9), "--max-m", "1"],
+     f"functor level {10**9} exceeds the cap RING_LEVEL_CAP={cyclotomic.RING_LEVEL_CAP}"),
+    (["tilt", "--functor", "2", "--max-m", str(10**9)],
+     f"tilt index {10**9} exceeds the cap TILT_INDEX_CAP={tilting.TILT_INDEX_CAP}"),
+    (["tilt", "--functor", str(10**9), "--max-m", str(10**9)],
+     f"tilt index {10**9} exceeds the cap TILT_INDEX_CAP={tilting.TILT_INDEX_CAP}"),
+], ids=["functor", "max-m", "both"])
+def test_functor_bounds_are_refused_before_any_work(argv, message, capsys):
+    cli.build_parser()  # built once per process, outside the trace
+    assert _before_any_work(lambda: cli.run(argv)) == 2
+    assert capsys.readouterr() == ("", f"char2cat: error: {message}\n")
 
 
 @pytest.mark.parametrize("j", [0, 1.5])

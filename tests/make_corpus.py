@@ -64,9 +64,10 @@ def _simples():
 def grid() -> list[list[str]]:
     """Every argv of the corpus, in a fixed order."""
     argvs: list[list[str]] = []
+    # indices 14, 15 and levels 6, 7 write rows wider than one 64-column chunk
     for cmd in ("cartan", "ext1"):
-        argvs += _formats([[cmd, "--index", m] for m in _strs(range(14))], ALL_FORMATS)
-    argvs += _formats([["fusion", "--level", n] for n in _strs(range(6))], ALL_FORMATS)
+        argvs += _formats([[cmd, "--index", m] for m in _strs(range(16))], ALL_FORMATS)
+    argvs += _formats([["fusion", "--level", n] for n in _strs(range(8))], ALL_FORMATS)
     argvs += _formats(_products(), NO_CSV)
     argvs += _formats(_simples(), NO_CSV)
     argvs += _formats([["fpdim", "--level", m, "--category"] for m in _strs(range(14))],

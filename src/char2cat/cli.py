@@ -10,9 +10,11 @@ declares it, in the first library call of each handler, so every usage
 error still comes before any work; ``tilt --functor`` checks its two
 bounds itself, since ``digit_images`` takes any index.  Nothing is
 written before the report is complete.  Exit status is 0 on success, 1
-when any check fails or a computation meets an internal inconsistency
-(``NotIntegral``, ``NotTiltingCharacter``), and 2 on usage errors, an
-unwritable ``--out`` included.
+when any check fails or a handler meets an internal inconsistency (any
+``Char2CatError`` or ``ValueError`` it raises other than
+``LevelTooLarge`` and ``SubsetOutOfRange``), and 2 on usage errors: a
+flag combination, an undefined CSV, a capped or range-checked argument,
+or an unwritable ``--out``.
 
 JSON is written by ``emit_json``, whose bytes are those of
 ``json.dumps(..., indent=2, sort_keys=True)``: indent 2, sorted keys, and
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks, cyclotomic, fusion, homology, invariants, tilting, writers
-from .errors import Char2CatError, NotIntegral, NotTiltingCharacter
+from .errors import Char2CatError, LevelTooLarge, SubsetOutOfRange
 
 __all__ = ["Report", "run", "main"]
 
@@ -136,19 +138,13 @@ def _csv_line(cells) -> str:
     return ",".join(map(str, cells))
 
 
-def _matrix_lines(heads, mat: np.ndarray, template: str, out: writers.Out) -> None:
-    """One line per row of ``mat``: its head, then its entries formatted by
-    the ``%d`` template."""
-    out.blocks([head + "".join(r) + "\n" for head, r in zip(heads[rows], cells)]
-               for rows, cells in writers.matrix_blocks(mat, template))
-
-
 def _text_matrix(res, out: writers.Out) -> None:
     labels, mat = res["labels"], res["matrix"]
     width = max(len(lbl) for lbl in labels) + 1
     colw = max(len(c) for c in labels + [str(mat.max()), str(mat.min())]) + 1
     out.append(" " * width + "".join(lbl.rjust(colw + 1) for lbl in labels) + "\n")
-    _matrix_lines([lbl.ljust(width) for lbl in labels], mat, f"%{colw + 1}d", out)
+    out.blocks(writers.matrix_blocks(mat, [lbl.ljust(width) for lbl in labels],
+                                     f"%{colw + 1}d", "", "\n"))
 
 
 def _text_ext1(res, out: writers.Out) -> None:
@@ -162,7 +158,7 @@ def _text_ext1(res, out: writers.Out) -> None:
 def _csv_matrix(res, out: writers.Out) -> None:
     labels = res["labels"]
     out.append(_csv_line([""] + labels) + "\n")
-    _matrix_lines(labels, res["matrix"], ",%d", out)
+    out.blocks(writers.matrix_blocks(res["matrix"], labels, ",%d", "", "\n"))
 
 
 def _text_product(res, out: writers.Out) -> None:
@@ -172,20 +168,17 @@ def _text_product(res, out: writers.Out) -> None:
     )
 
 
-def _record_lines(rec: writers.Records, templates, out: writers.Out) -> None:
-    out.blocks(writers.record_blocks(rec.rows, list(enumerate(templates))))
-
-
 def _text_structure(res, out: writers.Out) -> None:
     rec = res["nonzero"]
     out.append(f"level {res['level']}: {len(rec)} nonzero constants\n")
-    _record_lines(rec, ("N[%d]", "[%d]", "[%d]", " = %d\n"), out)
+    out.blocks(writers.record_blocks(rec.rows, enumerate(("N[%d]", "[%d]", "[%d]", " = %d\n"))))
 
 
 def _csv_structure(res, out: writers.Out) -> None:
     rec = res["nonzero"]
     out.append(_csv_line(rec.keys) + "\n")
-    _record_lines(rec, ["%d"] + [",%d"] * (len(rec.keys) - 2) + [",%d\n"], out)
+    templates = ["%d"] + [",%d"] * (len(rec.keys) - 2) + [",%d\n"]
+    out.blocks(writers.record_blocks(rec.rows, enumerate(templates)))
 
 
 def _text_tilt_table(res, out: writers.Out) -> None:
@@ -556,14 +549,18 @@ def run(argv=None) -> int:
         mode = _pick_mode(args)
         if args.format == "csv" and mode.csv is None:
             raise ValueError(f"--format csv is not defined for this {args.command} mode")
-        report = Report(args.command, mode.params(args))
-        report.result = mode.handler(args, report)
-    except (NotIntegral, NotTiltingCharacter) as exc:  # an internal inconsistency
-        print(f"char2cat: internal error: {exc}", file=sys.stderr)
-        return 1
-    except (Char2CatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"char2cat: error: {exc}", file=sys.stderr)
         return 2
+    report = Report(args.command, mode.params(args))
+    try:
+        report.result = mode.handler(args, report)
+    except (LevelTooLarge, SubsetOutOfRange) as exc:  # a capped or range-checked argument
+        print(f"char2cat: error: {exc}", file=sys.stderr)
+        return 2
+    except (Char2CatError, ValueError) as exc:  # a route broke inside the handler
+        print(f"char2cat: internal error: {exc}", file=sys.stderr)
+        return 1
     render = functools.partial(_render, report, args.format, mode)
     if args.out:
         try:

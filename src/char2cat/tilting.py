@@ -45,7 +45,7 @@ from functools import lru_cache
 
 from .cyclotomic import IntPoly, _compose_square_minus_two, check_level
 from .errors import NotTiltingCharacter
-from .fusion import FusionElt, _gen_mul_terms, fusion_elt, simple_elt, unit
+from .fusion import FusionElt, _fusion_elt, _gen_mul_terms, fusion_elt, simple_elt, unit
 
 __all__ = [
     "TILT_INDEX_CAP",
@@ -331,24 +331,26 @@ def digit_images(indices, n: int) -> list[FusionElt]:
         if key not in memo:
             if m < 0:
                 raise ValueError(f"index must be nonnegative, got {m}")
+            # the masks below are valid by construction, so the images skip
+            # the constructor's checks
             if m == 0:
                 memo[key] = unit(lev)
             elif lev == 0:
-                memo[key] = fusion_elt(0, {})
+                memo[key] = _fusion_elt(0, {})
             else:
-                inner = FusionElt(lev, image(lev - 1, (m - 1) // 2).coeffs)
+                inner = image(lev - 1, (m - 1) // 2).coeffs
                 if m % 2:
                     top = 1 << (lev - 1)
-                    memo[key] = FusionElt(lev, tuple((s | top, c) for s, c in inner.coeffs))
+                    memo[key] = _fusion_elt(lev, {s | top: c for s, c in inner})
                 else:
                     # (2 + x_(lev-1)) inner by the generator rule, whose
                     # terms for x_0 are empty: faster than fusion.product
                     # here, by about 30 % on small indices and levels
-                    out = {s: 2 * c for s, c in inner.coeffs}
-                    for s, c in inner.coeffs:
+                    out = {s: 2 * c for s, c in inner}
+                    for s, c in inner:
                         for s2, c2 in _gen_mul_terms(lev - 1, s, lev):
                             out[s2] = out.get(s2, 0) + c * c2
-                    memo[key] = fusion_elt(lev, out)
+                    memo[key] = _fusion_elt(lev, out)
         return memo[key]
 
     return [image(n, m) for m in indices]

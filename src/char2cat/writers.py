@@ -5,12 +5,14 @@ A writer appends pieces of output to an ``Out``, which hands them to the
 file's ``write`` a block at a time, so no string holds a whole output.
 ``write_json`` gives the bytes of ``json.dumps(..., indent=2,
 sort_keys=True)`` with every integer written as a decimal string.  Its
-tables are ``int64`` matrices, ``Records`` and ``FusionElt`` images.  A
-matrix or record column is sorted a row block at a time for its distinct
-values, each value is formatted once in the target format, and each
-block of rows looks its strings up with ``np.searchsorted``
-(``matrix_blocks``, ``record_blocks``).  An image is written from one
-fragment per mask, with the coefficient in front of it.
+tables are ``int64`` matrices, ``Records`` and ``FusionElt`` images.
+Each distinct value of a matrix or record column is formatted once in
+the target format.  A table goes out a row block of ``COMPARE_BLOCK``
+entries at a time, each block joined once into one string: a matrix row
+wider than ``_CHUNK`` columns is cut into chunks, and each distinct chunk
+of a block is rendered once (``matrix_blocks``); a block of records
+fills one object grid of its fields (``record_blocks``).  An image is
+written from one fragment per mask, with the coefficient in front of it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ from . import fusion
 __all__ = ["Out", "Records", "write_json", "matrix_blocks", "record_blocks",
            "row_slices", "COMPARE_BLOCK"]
 
-#: Entries of a table written per block: one row of the Cartan matrix at
-#: the index cap, 32 rows at index 13.
-_BLOCK = 1 << 11
-
-#: Entries per sorted or compared block: a table's distinct values and the
-#: table checks go a row block at a time, so no temporary is the size of a
-#: table at the index cap.
+#: Entries per row block: a table is written, its distinct values found
+#: and the table checks run a row block at a time, so no temporary is the
+#: size of a table at the index cap.  A write at the cap is 16 rows of the
+#: Cartan matrix.
 COMPARE_BLOCK = 1 << 16
+
+#: Columns per chunk of a matrix row: the chunks of a row block that repeat
+#: are rendered once.
+_CHUNK = 64
 
 #: Pending pieces of output that are written out together.
 _PENDING = 1 << 10
@@ -68,12 +71,11 @@ class Out(list):
             self.flush()
 
     def blocks(self, blocks) -> None:
-        """Write what is pending, then each of ``blocks``, a list of
-        pieces, with one ``write``."""
+        """Write what is pending, then each of ``blocks``, a string, with
+        one ``write``."""
         self.flush()
-        for pieces in blocks:
-            self.extend(pieces)
-            self.flush()
+        for text in blocks:
+            self.write(text)
 
 
 def row_slices(arr: np.ndarray, entries: int) -> list[slice]:
@@ -105,8 +107,8 @@ def _json_ints(values, depth: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# tables: strings formatted once per distinct value, joined a row block at
-# a time
+# tables: strings formatted once per distinct value, and a matrix row's
+# chunks once per distinct chunk of a row block; a row block is one join
 
 
 def _sorted_distinct(s: np.ndarray) -> np.ndarray:
@@ -125,40 +127,107 @@ def _distinct(arr: np.ndarray) -> np.ndarray:
     return _sorted_distinct(np.sort(np.concatenate(parts))) if parts else arr.ravel()
 
 
-def _formatted(arr: np.ndarray, template: str) -> tuple:
-    """The distinct values of ``arr`` and, in an object array, each one
-    formatted by the ``%d`` template."""
-    distinct = _distinct(arr)
-    return distinct, np.array([template % v for v in distinct.tolist()], dtype=object)
+class _Cells:
+    """The values of an integer array formatted by a ``%d`` template, each
+    distinct value once, in the object array ``table``.  For any of the
+    array's values, ``index(values)`` gives the positions of their strings
+    in ``table`` and ``strings(values)`` the strings.
+
+    Where the values span no more than the array has entries, ``table`` is
+    indexed by ``value - lo``.  That difference is taken in the array's
+    own type, exact modulo 2^64, so only 8-byte integers use this table.
+    Otherwise ``table`` holds the strings of the sorted distinct values,
+    found with ``np.searchsorted``."""
+
+    def __init__(self, arr: np.ndarray, template: str):
+        lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, -1)
+        self.lo = lo if hi - lo < arr.size and arr.dtype.itemsize == 8 else None
+        if self.lo is None:
+            self.distinct = _distinct(arr)
+            self.table = np.array([template % v for v in self.distinct.tolist()], dtype=object)
+            return
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        for rows in row_slices(arr, COMPARE_BLOCK):
+            seen[arr[rows] - lo] = True
+        offsets = np.flatnonzero(seen)
+        self.table = np.empty(len(seen), dtype=object)
+        self.table[offsets] = [template % (lo + k) for k in offsets.tolist()]
+
+    def index(self, values: np.ndarray) -> np.ndarray:
+        if self.lo is None:
+            return np.searchsorted(self.distinct, values)
+        return values - self.lo
+
+    def strings(self, values: np.ndarray) -> np.ndarray:
+        return self.table[self.index(values)]
 
 
-def matrix_blocks(mat: np.ndarray, template: str):
-    """``(rows, cells)`` per row block of an integer matrix: the slice of
-    its rows, and those rows as lists of their entries' strings."""
-    distinct, table = _formatted(mat, template)
-    for rows in row_slices(mat, _BLOCK):
-        yield rows, table[np.searchsorted(distinct, mat[rows])].tolist()
+def _rendered(codes: np.ndarray, table: np.ndarray, sep: str) -> np.ndarray:
+    """Each row of a 2-d block of positions in ``table`` as their strings
+    joined by ``sep``, in an object array.  Rows are told apart exactly, by
+    their bytes, and each distinct row is rendered once."""
+    keys = np.ascontiguousarray(codes).view(
+        np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel().tolist()
+    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    distinct = np.frombuffer(b"".join(ids), dtype=codes.dtype).reshape(len(ids), -1)
+    strings = np.array([sep.join(r) for r in table[distinct].tolist()], dtype=object)
+    return strings[list(map(ids.__getitem__, keys))]
 
 
-def record_blocks(rows: np.ndarray, columns):
-    """Each row of an integer array as one string, a row block at a time:
-    for each ``(j, template)`` of ``columns`` in turn, its column ``j``
-    entry formatted by ``template``."""
-    tables = [(j, *_formatted(rows[:, j], template)) for j, template in columns]
-    for span in row_slices(rows, _BLOCK):
+def matrix_blocks(mat: np.ndarray, heads, template: str, sep: str, tail: str):
+    """Each row block of an integer matrix as one string.  Row ``i`` is
+    ``heads[i]``, its entries formatted by the ``%d`` template and joined
+    by ``sep``, then ``tail``.
+
+    A row wider than ``_CHUNK`` columns is cut into chunks of ``_CHUNK``
+    columns (the last may be narrower).  Each distinct chunk of a block is
+    rendered once, and the block is one join over an object grid of each
+    row's head, chunks, separators and tail."""
+    cells = _Cells(mat, template)
+    table, width = cells.table, mat.shape[1]
+    full = width - width % _CHUNK
+    step = 2 if sep else 1  # grid columns per chunk: the chunk, then any separator
+    # the smallest unsigned type that holds a position in ``table``
+    code = np.min_scalar_type(len(table) - 1)
+    for rows in row_slices(mat, COMPARE_BLOCK):
+        if width <= _CHUNK:
+            yield "".join([head + sep.join(r) + tail for head, r
+                           in zip(heads[rows], cells.strings(mat[rows]).tolist())])
+            continue
+        codes = cells.index(mat[rows]).astype(code)
+        # head, chunks and tail; no separator columns where ``sep`` is
+        # empty, since joining empty strings costs
+        grid = np.empty((len(codes), step * (-(-width // _CHUNK) - 1) + 3), dtype=object)
+        grid[:, 0] = heads[rows]
+        grid[:, 1:1 + step * (full // _CHUNK):step] = _rendered(
+            codes[:, :full].reshape(-1, _CHUNK), table, sep).reshape(len(codes), -1)
+        if full < width:
+            grid[:, -2] = _rendered(codes[:, full:], table, sep)
+        if sep:
+            grid[:, 2:-1:2] = sep
+        grid[:, -1] = tail
+        yield "".join(grid.ravel().tolist())
+
+
+def record_blocks(rows: np.ndarray, columns, sep: str = ""):
+    """Each row block of an integer array as one string.  A row is, for
+    each ``(j, template)`` of ``columns`` in turn, its column ``j`` entry
+    formatted by ``template``; rows are joined by ``sep``.  A block's
+    strings fill one ``(rows, fields)`` object grid, joined once."""
+    cols = [(j, _Cells(rows[:, j], template)) for j, template in columns]
+    # a column of separators only where there is one: joining a column of
+    # empty strings costs about 10 % on text and CSV records
+    lead = 1 if sep else 0
+    for span in row_slices(rows, COMPARE_BLOCK):
         block = rows[span]
-        joined = None
-        for j, distinct, table in tables:
-            col = table[np.searchsorted(distinct, block[:, j])]
-            joined = col if joined is None else joined + col
-        yield joined.tolist()
-
-
-def _json_blocks(blocks, depth: int, out: Out) -> None:
-    """A nonempty list at nesting ``depth`` from blocks of its items' JSON,
-    each item starting with its own newline and indent; a block per write."""
-    out.blocks(["," if k else "[", ",".join(items)] for k, items in enumerate(blocks))
-    out.append("\n" + "  " * depth + "]")
+        grid = np.empty((len(block), lead + len(cols)), dtype=object)
+        if sep:
+            grid[:, 0] = sep
+            if span.start == 0:
+                grid[0, 0] = ""
+        for k, (j, cells) in enumerate(cols, lead):
+            grid[:, k] = cells.strings(block[:, j])
+        yield "".join(grid.ravel().tolist())
 
 
 def _json_matrix(mat: np.ndarray, depth: int, out: Out) -> None:
@@ -166,9 +235,9 @@ def _json_matrix(mat: np.ndarray, depth: int, out: Out) -> None:
         write_json(mat.tolist(), depth, out)
         return
     inner = "\n" + "  " * (depth + 1)
-    close = inner + "]"
-    _json_blocks(([f"{inner}[{','.join(r)}{close}" for r in cells]
-                  for _, cells in matrix_blocks(mat, inner + '  "%d"')), depth, out)
+    heads = ["[" + inner + "["] + ["," + inner + "["] * (len(mat) - 1)
+    out.blocks(matrix_blocks(mat, heads, inner + '  "%d"', ",", inner + "]"))
+    out.append("\n" + "  " * depth + "]")
 
 
 def _json_records(rec: Records, depth: int, out: Out) -> None:
@@ -183,7 +252,9 @@ def _json_records(rec: Records, depth: int, out: Out) -> None:
                  + _quote(rec.keys[j]).replace("%", "%%") + ': "%d"'
                  for pos, j in enumerate(order)]
     templates[-1] += inner + "}"
-    _json_blocks(record_blocks(rec.rows, list(zip(order, templates))), depth, out)
+    out.append("[")
+    out.blocks(record_blocks(rec.rows, list(zip(order, templates)), ","))
+    out.append("\n" + "  " * depth + "]")
 
 
 def _json_elt(elt: fusion.FusionElt, depth: int, out: Out, frags: dict) -> None:

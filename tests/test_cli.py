@@ -175,16 +175,16 @@ def _reference_json(obj) -> str:
 @contextlib.contextmanager
 def _block(entries):
     """Tables written ``entries`` entries per block."""
-    saved, writers._BLOCK = writers._BLOCK, entries
+    saved, writers.COMPARE_BLOCK = writers.COMPARE_BLOCK, entries
     try:
         yield
     finally:
-        writers._BLOCK = saved
+        writers.COMPARE_BLOCK = saved
 
 
 # block sizes that cut the small tables below at every row, mid-table, and
 # not at all
-_BLOCKS = (1, 5, writers._BLOCK)
+_BLOCKS = (1, 5, writers.COMPARE_BLOCK)
 
 
 def _written(writer, *args) -> str:
@@ -196,11 +196,11 @@ def _written(writer, *args) -> str:
     return buf.getvalue()
 
 
-def _dumps(obj) -> str:
-    """``obj`` through the JSON writer at every block size of ``_BLOCKS``,
+def _dumps(obj, blocks=_BLOCKS) -> str:
+    """``obj`` through the JSON writer at every block size of ``blocks``,
     which must agree."""
     texts = set()
-    for entries in _BLOCKS:
+    for entries in blocks:
         with _block(entries):
             texts.add(_written(writers.write_json, obj, 0))
     assert len(texts) == 1
@@ -249,16 +249,17 @@ def test_json_writer_matches_reference_encoder(obj):
     assert _dumps(obj) == _reference_json(obj)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_INT64, _INT64, _INT64, _INT64), max_size=12))
-def test_json_writer_records_match_list_of_dicts(rows):
+def _check_records(rows, blocks=_BLOCKS):
+    """``Records`` of ``rows`` through the JSON writer against the reference
+    encoder, and through the text and CSV writers against their row
+    formats, at every block size of ``blocks``."""
     keys = ("left", "right", "out", "coeff")
     rec = writers.Records(keys, np.array(rows, dtype=np.int64).reshape(-1, 4))
-    dicts = [dict(zip(keys, r)) for r in rows]
+    dicts = [dict(zip(keys, r)) for r in rec.rows.tolist()]
     for nest in (lambda x: x, lambda x: [x], lambda x: {"level": 3, "nonzero": x}):
-        assert _dumps(nest(rec)) == _reference_json(nest(dicts))
+        assert _dumps(nest(rec), blocks) == _reference_json(nest(dicts))
     res = {"level": 3, "nonzero": rec}
-    for entries in _BLOCKS:
+    for entries in blocks:
         with _block(entries):
             assert _written(cli._text_structure, res).splitlines()[1:] == [
                 f"N[{e['left']}][{e['right']}][{e['out']}] = {e['coeff']}" for e in dicts
@@ -269,8 +270,25 @@ def test_json_writer_records_match_list_of_dicts(rows):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: arrays(np.int64, (n, n), elements=_INT64)))
-def test_matrix_text_and_csv_match_row_formats(mat):
+@given(st.lists(st.tuples(_INT64, _INT64, _INT64, _INT64), max_size=12))
+def test_json_writer_records_match_list_of_dicts(rows):
+    _check_records(rows)
+
+
+def test_records_longer_than_a_block_match_list_of_dicts():
+    n = writers.COMPARE_BLOCK // 4 + 3  # three records past a block at the default size
+    k = np.arange(n, dtype=np.int64)
+    spread = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)).view(np.int64)
+    # three columns repeat a few values; the last spans the int64 range
+    rows = np.stack([k % 3 - 1, k % 7, k // 5 % 3 + 2**62, spread], axis=1)
+    _check_records(rows, blocks=(1000, writers.COMPARE_BLOCK))
+
+
+def _check_matrix(mat):
+    """A matrix through the JSON writer against the reference encoder, and
+    through the text and CSV writers against their row formats, at every
+    block size of ``_BLOCKS``."""
+    assert _dumps(mat) == _reference_json(mat)
     labels = [f"V_{s}" for s in range(len(mat))]
     res = {"labels": labels, "matrix": mat}
     width = max(len(lbl) for lbl in labels) + 1
@@ -288,6 +306,41 @@ def test_matrix_text_and_csv_match_row_formats(mat):
             assert _written(cli._csv_matrix, res) == "\n".join(csv) + "\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: arrays(np.int64, (n, n), elements=_INT64)))
+def test_matrix_text_and_csv_match_row_formats(mat):
+    _check_matrix(mat)
+
+
+# widths on both sides of one and two chunks of a matrix row
+_CHUNK_WIDTHS = (1, writers._CHUNK - 1, writers._CHUNK, writers._CHUNK + 1,
+                 2 * writers._CHUNK + 3)
+# three values, so chunks repeat: about 0 and at both ends of int64
+_TRIPLES = ((-3, 0, 5), (-(2**63), 1 - 2**63, 4 - 2**63), (2**63 - 5, 2**63 - 2, 2**63 - 1))
+_CHUNK_MATRICES = st.tuples(
+    st.integers(1, 3), st.sampled_from(_CHUNK_WIDTHS),
+    st.one_of(st.sampled_from(_TRIPLES).map(st.sampled_from), st.just(_INT64)),
+).flatmap(lambda t: arrays(np.int64, t[:2], elements=t[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CHUNK_MATRICES)
+def test_matrix_writers_match_at_chunk_widths(mat):
+    # every row twice, so each block of two rows or more repeats its chunks
+    _check_matrix(np.concatenate([mat, mat[::-1]]))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint64])
+def test_matrix_writers_match_for_narrow_and_unsigned_dtypes(dtype):
+    # values spanning three quarters of the type, in more entries than the
+    # type has values, 70 to a row: value - lo would wrap in the narrow
+    # signed types
+    info = np.iinfo(dtype)
+    rows = (1 << info.bits) // 70 + 1 if info.bits <= 16 else 4
+    values = np.array([info.min // 4 * 3, info.max // 4 * 3, 0], dtype=dtype)
+    _check_matrix(np.resize(values, (rows, 70)))
+
+
 def test_json_writer_refuses_what_json_refuses():
     for bad in (np.float32(1.0), np.bool_(True), object()):
         with pytest.raises(TypeError):
@@ -301,13 +354,13 @@ def test_json_writer_refuses_what_json_refuses():
 
 
 def test_tables_are_written_a_row_block_at_a_time(monkeypatch):
-    mat = homology.cartan(13)
-    rows_per_block = writers._BLOCK // mat.shape[1]
+    mat = homology.cartan(19)
+    rows_per_block = writers.COMPARE_BLOCK // mat.shape[1]
     assert 1 < rows_per_block < len(mat)
     for fmt in ("json", "csv", "text"):
         writes = []
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
-        assert run(["cartan", "--index", "13", "--format", fmt]) == 0
+        assert run(["cartan", "--index", "19", "--format", fmt]) == 0
         monkeypatch.undo()
         whole = "".join(writes)
         # a JSON row spans a line per entry and two for its brackets
@@ -566,6 +619,29 @@ def test_internal_inconsistency_exits_one(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err.startswith("char2cat: internal error: structure-constant bound ")
     assert err.endswith(" is not below 2**63\n")
+
+
+def test_a_route_that_breaks_inside_a_handler_exits_one(monkeypatch, capsys):
+    # a numpy shape mismatch (ValueError) and a level mismatch inside a
+    # handler are internal errors, not usage errors
+    def mismatched(m):
+        return np.ones((2, 3), dtype=np.int64) @ np.ones((2, 3), dtype=np.int64)
+
+    def across_levels(a, b, product=fusion.product):
+        return product(a, fusion.simple_elt(b.level + 1, 0))
+
+    monkeypatch.setattr(homology, "cartan", mismatched)
+    monkeypatch.setattr(fusion, "product", across_levels)
+    for argv, reason in ((["cartan", "--index", "3"], "matmul: "),
+                         (["fusion", "--level", "2", "--left", "1", "--right", "3"],
+                          "cannot combine fusion elements at levels 2 and 3")):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("char2cat: internal error: " + reason), err
+    # a capped argument is still a usage error
+    monkeypatch.undo()
+    code, _, err = _run(capsys, ["cartan", "--index", "26"])
+    assert code == 2 and err.startswith("char2cat: error: ")
 
 
 def _perturbed_recursion(n, route=fusion._structure_from_recursion):

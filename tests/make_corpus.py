@@ -77,7 +77,9 @@ def grid() -> list[list[str]]:
     tops = _strs((0, 1, 2, 3, 4, 5, 8, 13, 30, 31, 32, 63, 64))
     argvs += _formats([["tilt", "--table", "--max-m", t] for t in tops], ALL_FORMATS)
     argvs += [["tilt", "--table"]]  # the default --max-m
-    argvs += _formats([["tilt", "--decompose", r] for r in _strs(range(65))], NO_CSV)
+    # powers past 64 up to the cap, on both sides of each power of two
+    powers = (*range(65), 65, 96, 127, 128, 129, 200, 255, 256, 511, 1023, 1024, 2046, 2047)
+    argvs += _formats([["tilt", "--decompose", r] for r in _strs(powers)], NO_CSV)
     argvs += _formats([["tilt", "--functor", n, "--max-m", t]
                        for n in _strs(range(7)) for t in _strs((0, 1, 7, 30, 64))], NO_CSV)
     argvs += [["tilt", "--functor", "3"]]

@@ -333,7 +333,8 @@ def _tilt_table(args, rep: Report) -> dict:
 def _decompose(args, rep: Report) -> dict:
     r = args.decompose
     ts = tilting.tensor_power_decompose(r)
-    rep.add_check("total-dimension-is-2^r", ts.dim() == 1 << r, f"dimension {ts.dim()}")
+    dim = ts.dim()
+    rep.add_check("total-dimension-is-2^r", dim == 1 << r, f"dimension {dim}")
     return {"power": r, "summands": [{"index": i, "mult": k} for i, k in ts.entries]}
 
 

@@ -16,8 +16,14 @@ algebraic groups", Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and
 - ``tensor_v_rows``: from ``T(1)^2 = T(2)`` and ``T(2) T(1) = T(3) +
   2 T(1)``, the tensor-by-degree-1 row of ``2k+1`` is ``T(2k+2)`` and the
   row of ``2k+2`` is the row of ``k`` with each index ``j`` sent to
-  ``2j+1``, plus ``2 T(2k+1)``.  ``tensor_power_decompose`` reads these
-  rows.
+  ``2j+1``, plus ``2 T(2k+1)``.
+- ``_times_v``: the same rows applied to a multiplicity list without a
+  row table.  The even part of ``u V`` is ``u[1::2]`` moved up one index;
+  its odd part is ``2 w + w V`` with ``w = u[2::2]``, plus ``u[0]`` at
+  index 1.  ``tensor_power_decompose`` reads it: a step from an odd power
+  only moves ``T(2k+1)`` to ``T(2k+2)``, so ``V^(2t+1)`` and ``V^(2t+2)``
+  carry the multiplicities ``u_t`` of ``(2 T(0) + V)^t`` on the indices
+  ``2i+1`` and ``2i+2``.
 - ``TiltSum.dim``: ``dim T(2k+1) = 2 dim T(k)`` and ``dim T(2k+2) = 4 dim
   T(k)``.
 - ``in_T1_polynomial``: in the split Grothendieck ring each class is an
@@ -259,20 +265,31 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
+def _times_v(u: list[int]) -> list[int]:
+    """Multiplicities of ``u V``, for a nonempty list ``u`` of the
+    multiplicities of ``T(0), T(1), ...``: one recursion on ``u[2::2]``."""
+    out = [0] * (len(u) + 1)
+    out[2::2] = u[1::2]
+    w = u[2::2]
+    odd = [2 * a + b for a, b in zip(w + [0], _times_v(w))] if w else [0]
+    odd[0] += u[0]
+    out[1::2] = odd
+    return out
+
+
 def tensor_power_decompose(r: int) -> TiltSum:
-    """Decomposition of the ``r``-th tensor power of the degree-1 module:
-    the multiplicities of ``V^0 = T(0)`` pushed ``r`` times through the
-    tensor-by-degree-1 rows."""
+    """Decomposition of the ``r``-th tensor power of the degree-1 module,
+    in ``(r - 1) // 2`` steps ``u -> 2 u + u V`` from ``u = [1]``: the
+    multiplicity of ``T(2i+1)`` in ``V^(2t+1)``, and of ``T(2i+2)`` in
+    ``V^(2t+2)``, is entry ``i`` of ``(2 T(0) + V)^t``."""
     check_level(r, TILT_INDEX_CAP, "tensor power", "TILT_INDEX_CAP")
-    rows = tensor_v_rows(r)
-    acc = {0: 1}
-    for _ in range(r):
-        nxt: dict[int, int] = {}
-        for j, c in acc.items():
-            for i, k in rows[j].items():
-                nxt[i] = nxt.get(i, 0) + c * k
-        acc = nxt
-    return TiltSum.from_dict(acc)
+    if r == 0:
+        return TiltSum(((0, 1),))
+    u = [1]
+    for _ in range((r - 1) // 2):
+        u = [2 * a + b for a, b in zip(u + [0], _times_v(u))]
+    low = 2 - r % 2
+    return TiltSum(tuple((2 * i + low, k) for i, k in reversed(list(enumerate(u))) if k))
 
 
 def in_T1_polynomial(m: int) -> IntPoly:

@@ -174,11 +174,65 @@ def test_digit_dimensions_equal_the_characters():
         tilt_char.cache_clear()
 
 
+def _push(acc: dict[int, int], rows: list[dict[int, int]]) -> dict[int, int]:
+    """``acc V`` through the tensor-by-degree-1 rows."""
+    nxt: dict[int, int] = {}
+    for j, c in acc.items():
+        for i, k in rows[j].items():
+            nxt[i] = nxt.get(i, 0) + c * k
+    return nxt
+
+
+def _row_push_power(r: int) -> TiltSum:
+    """Reference: ``V^0 = T(0)`` pushed ``r`` times through the rows."""
+    rows = tensor_v_rows(r)
+    acc = {0: 1}
+    for _ in range(r):
+        acc = _push(acc, rows)
+    return TiltSum.from_dict(acc)
+
+
+def _nonzero(u: list[int]) -> dict[int, int]:
+    return {i: k for i, k in enumerate(u) if k}
+
+
+def test_times_v_on_unit_vectors_equals_the_rows():
+    rows = tensor_v_rows(511)
+    for m, row in enumerate(rows):
+        assert _nonzero(tilting._times_v([0] * m + [1])) == row, m
+
+
+def _big_vectors(n: int):
+    return st.lists(st.integers(min_value=0, max_value=1 << 300), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.integers(min_value=1, max_value=70).flatmap(
+        lambda n: st.tuples(_big_vectors(n), _big_vectors(n))
+    ),
+    scale=st.integers(min_value=0, max_value=1 << 100),
+)
+def test_times_v_is_linear_and_equals_the_row_push(pair, scale):
+    a, b = pair
+    ta, tb = tilting._times_v(a), tilting._times_v(b)
+    assert tilting._times_v([x + y for x, y in zip(a, b)]) == [x + y for x, y in zip(ta, tb)]
+    assert tilting._times_v([scale * x for x in a]) == [scale * x for x in ta]
+    assert _nonzero(ta) == _push(_nonzero(a), tensor_v_rows(len(a) - 1))
+
+
+def test_tensor_powers_equal_the_row_push_up_to_the_cap():
+    for r in (257, 511, 1024, tilting.TILT_INDEX_CAP):
+        assert tensor_power_decompose(r) == _row_push_power(r), r
+
+
 def test_tensor_power_dimensions():
-    for r in range(13):
+    # every odd stride meets both parities
+    for r in (*range(13), *range(13, tilting.TILT_INDEX_CAP, 191), 2046, 2047):
         ts = tensor_power_decompose(r)
-        assert ts.dim() == 1 << r
-        assert ts.as_dict().get(r) == 1  # leading summand
+        assert ts.dim() == 1 << r, r
+        assert ts.entries[0] == (r, 1), r  # leading summand, once
+        assert all((m - r) % 2 == 0 for m, _ in ts.entries), r
 
 
 def test_tensor_power_parity():

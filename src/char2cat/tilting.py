@@ -268,10 +268,12 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
 def _times_v(u: list[int]) -> list[int]:
     """Multiplicities of ``u V``, for a nonempty list ``u`` of the
     multiplicities of ``T(0), T(1), ...``: one recursion on ``u[2::2]``."""
+    if len(u) < 3:  # T(0) V = T(1) and T(1) V = T(2)
+        return [0, *u]
     out = [0] * (len(u) + 1)
     out[2::2] = u[1::2]
     w = u[2::2]
-    odd = [2 * a + b for a, b in zip(w + [0], _times_v(w))] if w else [0]
+    odd = [2 * a + b for a, b in zip(w + [0], _times_v(w))]
     odd[0] += u[0]
     out[1::2] = odd
     return out

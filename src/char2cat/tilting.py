@@ -17,13 +17,15 @@ algebraic groups", Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and
   2 T(1)``, the tensor-by-degree-1 row of ``2k+1`` is ``T(2k+2)`` and the
   row of ``2k+2`` is the row of ``k`` with each index ``j`` sent to
   ``2j+1``, plus ``2 T(2k+1)``.
-- ``_times_v``: the same rows applied to a multiplicity list without a
-  row table.  The even part of ``u V`` is ``u[1::2]`` moved up one index;
-  its odd part is ``2 w + w V`` with ``w = u[2::2]``, plus ``u[0]`` at
-  index 1.  ``tensor_power_decompose`` reads it: a step from an odd power
-  only moves ``T(2k+1)`` to ``T(2k+2)``, so ``V^(2t+1)`` and ``V^(2t+2)``
-  carry the multiplicities ``u_t`` of ``(2 T(0) + V)^t`` on the indices
-  ``2i+1`` and ``2i+2``.
+- ``_times_2_plus_v``: unrolled, the row of ``m`` is ``T(m+1)`` plus
+  ``2 T(m+1-2^d)`` for each ``d >= 1`` with ``2^d`` dividing ``m+2``, so
+  ``(2 T(0) + V) u`` is ``u`` moved up one index plus twice ``_fold(u)``,
+  where entry ``P`` of ``_fold(u)`` adds ``u[P + 2^d - 1]`` for the same
+  ``d`` (with ``2^d`` dividing ``P+1``) to ``u[P]``: one recursion on
+  ``u[2::2]``, with no row table.  ``tensor_power_decompose`` reads it: a
+  step from an odd power only moves ``T(2k+1)`` to ``T(2k+2)``, so
+  ``V^(2t+1)`` and ``V^(2t+2)`` carry the multiplicities ``u_t`` of
+  ``(2 T(0) + V)^t`` on the indices ``2i+1`` and ``2i+2``.
 - ``TiltSum.dim``: ``dim T(2k+1) = 2 dim T(k)`` and ``dim T(2k+2) = 4 dim
   T(k)``.
 - ``in_T1_polynomial``: in the split Grothendieck ring each class is an
@@ -265,18 +267,22 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
-def _times_v(u: list[int]) -> list[int]:
-    """Multiplicities of ``u V``, for a nonempty list ``u`` of the
-    multiplicities of ``T(0), T(1), ...``: one recursion on ``u[2::2]``."""
-    if len(u) < 3:  # T(0) V = T(1) and T(1) V = T(2)
-        return [0, *u]
-    out = [0] * (len(u) + 1)
-    out[2::2] = u[1::2]
-    w = u[2::2]
-    odd = [2 * a + b for a, b in zip(w + [0], _times_v(w))]
-    odd[0] += u[0]
-    out[1::2] = odd
+def _fold(u: list[int]) -> list[int]:
+    """Entry ``P`` of ``u`` plus ``u[P + 2^d - 1]`` for each ``d >= 1`` with
+    ``2^d`` dividing ``P + 1``: the odd entries add ``_fold(u[2::2])``."""
+    if len(u) < 3:
+        return u
+    folded = _fold(u[2::2])
+    out = u[:]
+    out[1:2 * len(folded):2] = [a + b for a, b in zip(u[1::2], folded)]
     return out
+
+
+def _times_2_plus_v(u: list[int]) -> list[int]:
+    """Multiplicities of ``(2 T(0) + V) u``, for a nonempty list ``u`` of the
+    multiplicities of ``T(0), T(1), ...``: twice ``_fold(u)`` plus ``u``
+    moved up one index."""
+    return [a + a + b for a, b in zip(_fold(u) + [0], [0, *u])]
 
 
 def tensor_power_decompose(r: int) -> TiltSum:
@@ -289,7 +295,7 @@ def tensor_power_decompose(r: int) -> TiltSum:
         return TiltSum(((0, 1),))
     u = [1]
     for _ in range((r - 1) // 2):
-        u = [2 * a + b for a, b in zip(u + [0], _times_v(u))]
+        u = _times_2_plus_v(u)
     low = 2 - r % 2
     return TiltSum(tuple((2 * i + low, k) for i, k in reversed(list(enumerate(u))) if k))
 

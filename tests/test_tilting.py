@@ -196,10 +196,19 @@ def _nonzero(u: list[int]) -> dict[int, int]:
     return {i: k for i, k in enumerate(u) if k}
 
 
-def test_times_v_on_unit_vectors_equals_the_rows():
+def _plus_twice(acc: dict[int, int], u: list[int]) -> dict[int, int]:
+    """``acc + 2 u``, dropping zeros."""
+    out = dict(acc)
+    for i, k in enumerate(u):
+        out[i] = out.get(i, 0) + 2 * k
+    return {i: k for i, k in out.items() if k}
+
+
+def test_times_2_plus_v_on_unit_vectors_equals_the_rows():
     rows = tensor_v_rows(511)
     for m, row in enumerate(rows):
-        assert _nonzero(tilting._times_v([0] * m + [1])) == row, m
+        e_m = [0] * m + [1]
+        assert _nonzero(tilting._times_2_plus_v(e_m)) == _plus_twice(row, e_m), m
 
 
 def _big_vectors(n: int):
@@ -213,12 +222,13 @@ def _big_vectors(n: int):
     ),
     scale=st.integers(min_value=0, max_value=1 << 100),
 )
-def test_times_v_is_linear_and_equals_the_row_push(pair, scale):
+def test_times_2_plus_v_is_linear_and_equals_the_row_push(pair, scale):
     a, b = pair
-    ta, tb = tilting._times_v(a), tilting._times_v(b)
-    assert tilting._times_v([x + y for x, y in zip(a, b)]) == [x + y for x, y in zip(ta, tb)]
-    assert tilting._times_v([scale * x for x in a]) == [scale * x for x in ta]
-    assert _nonzero(ta) == _push(_nonzero(a), tensor_v_rows(len(a) - 1))
+    op = tilting._times_2_plus_v
+    ta, tb = op(a), op(b)
+    assert op([x + y for x, y in zip(a, b)]) == [x + y for x, y in zip(ta, tb)]
+    assert op([scale * x for x in a]) == [scale * x for x in ta]
+    assert _nonzero(ta) == _plus_twice(_push(_nonzero(a), tensor_v_rows(len(a) - 1)), a)
 
 
 def test_tensor_powers_equal_the_row_push_up_to_the_cap():

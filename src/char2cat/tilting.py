@@ -17,15 +17,16 @@ algebraic groups", Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and
   2 T(1)``, the tensor-by-degree-1 row of ``2k+1`` is ``T(2k+2)`` and the
   row of ``2k+2`` is the row of ``k`` with each index ``j`` sent to
   ``2j+1``, plus ``2 T(2k+1)``.
-- ``_times_2_plus_v``: unrolled, the row of ``m`` is ``T(m+1)`` plus
-  ``2 T(m+1-2^d)`` for each ``d >= 1`` with ``2^d`` dividing ``m+2``, so
-  ``(2 T(0) + V) u`` is ``u`` moved up one index plus twice ``_fold(u)``,
-  where entry ``P`` of ``_fold(u)`` adds ``u[P + 2^d - 1]`` for the same
-  ``d`` (with ``2^d`` dividing ``P+1``) to ``u[P]``: one recursion on
-  ``u[2::2]``, with no row table.  ``tensor_power_decompose`` reads it: a
-  step from an odd power only moves ``T(2k+1)`` to ``T(2k+2)``, so
-  ``V^(2t+1)`` and ``V^(2t+2)`` carry the multiplicities ``u_t`` of
-  ``(2 T(0) + V)^t`` on the indices ``2i+1`` and ``2i+2``.
+- ``_tilting_from_weyl``: on Weyl characters, ``T(1) chi(k)^[1] =
+  chi(2k+1)`` and ``T(2) chi(k)^[1] = chi(2k+2) + chi(2k)``, so the digits
+  also turn Weyl multiplicities into tilting ones.  The odd Weyl entries
+  of ``sum_m x_m T(m)`` come from the ``T(2k+1)`` alone: they are the Weyl
+  entries of ``sum_k x_(2k+1) T(k)``.  Entry ``2s`` is ``z_s + z_(s+1)``,
+  where ``z_0 = x_0`` and ``z_(k+1)`` is Weyl entry ``k`` of ``sum_k
+  x_(2k+2) T(k)``, so ``z`` is the alternating suffix sums of the even
+  entries.  One recursion on each half: ``O(n log n)`` additions.
+  ``tensor_power_decompose`` reads it on the Weyl multiplicities of
+  ``V^r``, the ballot numbers ``C(r, i) - C(r, i-1)`` at ``r - 2i``.
 - ``TiltSum.dim``: ``dim T(2k+1) = 2 dim T(k)`` and ``dim T(2k+2) = 4 dim
   T(k)``.
 - ``in_T1_polynomial``: in the split Grothendieck ring each class is an
@@ -267,37 +268,35 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
-def _fold(u: list[int]) -> list[int]:
-    """Entry ``P`` of ``u`` plus ``u[P + 2^d - 1]`` for each ``d >= 1`` with
-    ``2^d`` dividing ``P + 1``: the odd entries add ``_fold(u[2::2])``."""
-    if len(u) < 3:
-        return u
-    folded = _fold(u[2::2])
-    out = u[:]
-    out[1:2 * len(folded):2] = [a + b for a, b in zip(u[1::2], folded)]
+def _tilting_from_weyl(c: list[int]) -> list[int]:
+    """Multiplicities of ``T(0), T(1), ...`` in a module whose Weyl
+    characters ``chi(0), chi(1), ...`` have the multiplicities ``c``."""
+    out = [0] * len(c)
+    if not any(c):
+        return out
+    out[1::2] = _tilting_from_weyl(c[1::2])
+    suffix, acc = [], 0
+    for k in reversed(c[0::2]):
+        acc = k - acc
+        suffix.append(acc)
+    suffix.reverse()
+    out[0] = suffix[0]
+    out[2::2] = _tilting_from_weyl(suffix[1:])
     return out
 
 
-def _times_2_plus_v(u: list[int]) -> list[int]:
-    """Multiplicities of ``(2 T(0) + V) u``, for a nonempty list ``u`` of the
-    multiplicities of ``T(0), T(1), ...``: twice ``_fold(u)`` plus ``u``
-    moved up one index."""
-    return [a + a + b for a, b in zip(_fold(u) + [0], [0, *u])]
-
-
 def tensor_power_decompose(r: int) -> TiltSum:
-    """Decomposition of the ``r``-th tensor power of the degree-1 module,
-    in ``(r - 1) // 2`` steps ``u -> 2 u + u V`` from ``u = [1]``: the
-    multiplicity of ``T(2i+1)`` in ``V^(2t+1)``, and of ``T(2i+2)`` in
-    ``V^(2t+2)``, is entry ``i`` of ``(2 T(0) + V)^t``."""
+    """Decomposition of the ``r``-th tensor power of the degree-1 module:
+    its Weyl multiplicities, ``C(r, i) - C(r, i-1)`` at ``chi(r - 2i)``,
+    changed into tilting ones by ``_tilting_from_weyl``."""
     check_level(r, TILT_INDEX_CAP, "tensor power", "TILT_INDEX_CAP")
-    if r == 0:
-        return TiltSum(((0, 1),))
-    u = [1]
-    for _ in range((r - 1) // 2):
-        u = _times_2_plus_v(u)
-    low = 2 - r % 2
-    return TiltSum(tuple((2 * i + low, k) for i, k in reversed(list(enumerate(u))) if k))
+    weyl = [0] * (r + 1)
+    below, binom = 0, 1
+    for i in range(r // 2 + 1):
+        weyl[r - 2 * i] = binom - below
+        below, binom = binom, binom * (r - i) // (i + 1)
+    mults = _tilting_from_weyl(weyl)
+    return TiltSum(tuple((m, k) for m, k in reversed(list(enumerate(mults))) if k))
 
 
 def in_T1_polynomial(m: int) -> IntPoly:

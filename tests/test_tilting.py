@@ -1,6 +1,8 @@
 """Weight characters, indecomposable tilting characters, decomposition,
 and the functor to the fusion rings."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,19 +198,28 @@ def _nonzero(u: list[int]) -> dict[int, int]:
     return {i: k for i, k in enumerate(u) if k}
 
 
-def _plus_twice(acc: dict[int, int], u: list[int]) -> dict[int, int]:
-    """``acc + 2 u``, dropping zeros."""
-    out = dict(acc)
-    for i, k in enumerate(u):
-        out[i] = out.get(i, 0) + 2 * k
-    return {i: k for i, k in out.items() if k}
+def _weyl_entries(c: WeightChar, n: int) -> list[int]:
+    """Multiplicities of the Weyl characters ``chi(0..n-1)`` in ``c``."""
+    h = c.half_dict()
+    return [h.get(j, 0) - h.get(j + 2, 0) for j in range(n)]
 
 
-def test_times_2_plus_v_on_unit_vectors_equals_the_rows():
-    rows = tensor_v_rows(511)
-    for m, row in enumerate(rows):
-        e_m = [0] * m + [1]
-        assert _nonzero(tilting._times_2_plus_v(e_m)) == _plus_twice(row, e_m), m
+def test_tilting_from_weyl_inverts_the_characters():
+    try:
+        for m in range(512):
+            weyl = _weyl_entries(tilt_char(m), m + 1)
+            assert tilting._tilting_from_weyl(weyl) == [0] * m + [1], m
+    finally:
+        tilt_char.cache_clear()
+
+
+@lru_cache(maxsize=1)
+def _weyl_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row ``m``: the Weyl multiplicities of ``T(m)``, for ``m < n``."""
+    try:
+        return tuple(tuple(_weyl_entries(tilt_char(m), n)) for m in range(n))
+    finally:
+        tilt_char.cache_clear()
 
 
 def _big_vectors(n: int):
@@ -222,13 +233,19 @@ def _big_vectors(n: int):
     ),
     scale=st.integers(min_value=0, max_value=1 << 100),
 )
-def test_times_2_plus_v_is_linear_and_equals_the_row_push(pair, scale):
+def test_tilting_from_weyl_is_linear_and_equals_the_row_push(pair, scale):
     a, b = pair
-    op = tilting._times_2_plus_v
-    ta, tb = op(a), op(b)
-    assert op([x + y for x, y in zip(a, b)]) == [x + y for x, y in zip(ta, tb)]
-    assert op([scale * x for x in a]) == [scale * x for x in ta]
-    assert _nonzero(ta) == _plus_twice(_push(_nonzero(a), tensor_v_rows(len(a) - 1)), a)
+    op = tilting._tilting_from_weyl
+    oa, ob = op(a), op(b)
+    assert op([x + y for x, y in zip(a, b)]) == [x + y for x, y in zip(oa, ob)]
+    assert op([scale * x for x in a]) == [scale * x for x in oa]
+    # read a as tilting multiplicities: the Weyl ones of that module and of it times V
+    n, table = len(a), _weyl_table(71)
+    weyl = [sum(k * table[m][j] for m, k in enumerate(a)) for j in range(n)]
+    assert op(weyl) == a
+    times_v = [(weyl[j - 1] if j else 0) + (weyl[j + 1] if j + 1 < n else 0)
+               for j in range(n + 1)]
+    assert _nonzero(op(times_v)) == _push(_nonzero(a), tensor_v_rows(n - 1))
 
 
 def test_tensor_powers_equal_the_row_push_up_to_the_cap():

@@ -271,9 +271,9 @@ def tensor_v_rows(m: int) -> list[dict[int, int]]:
 def _tilting_from_weyl(c: list[int]) -> list[int]:
     """Multiplicities of ``T(0), T(1), ...`` in a module whose Weyl
     characters ``chi(0), chi(1), ...`` have the multiplicities ``c``."""
+    if len(c) < 3 or not any(c):  # T(0) = chi(0) and T(1) = chi(1)
+        return c[:]
     out = [0] * len(c)
-    if not any(c):
-        return out
     out[1::2] = _tilting_from_weyl(c[1::2])
     suffix, acc = [], 0
     for k in reversed(c[0::2]):

@@ -484,7 +484,7 @@ def test_criterion_13_tables_at_caps():
 
 
 @criterion("14 tilt --functor 12 --max-m 2047 <3.5s, <200MB, --table --max-m 2047 <0.25s, "
-           "<170MB, --decompose 2047 <1s, <160MB (json) cold via cli.run, "
+           "<170MB, --decompose 2047 <0.15s, <160MB (json) cold via cli.run, "
            "no tilt_char cached, bytes as recorded")
 def test_criterion_14_tilt_at_caps():
     from char2cat.cyclotomic import RING_LEVEL_CAP
@@ -495,7 +495,7 @@ def test_criterion_14_tilt_at_caps():
         (["tilt", "--functor", str(RING_LEVEL_CAP), "--max-m", index],
          ["kills-first-index-above-quotient"], 3.5, 200),
         (["tilt", "--table", "--max-m", index], ["top-summand-multiplicity-one"], 0.25, 170),
-        (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 1.0, 160),
+        (["tilt", "--decompose", index], ["total-dimension-is-2^r"], 0.15, 160),
     ):
         code, elapsed, rss_mb, report_checks, cached = _cli_in_child(argv)
         assert code == 0, argv

@@ -601,6 +601,7 @@ def test_inconsistent_tensor_table_exits_one(monkeypatch, capsys):
     # the tensor powers do not read the rows: break their operator the same way
     code, out, _ = _run(capsys, ["tilt", "--decompose", "5", "--format", "text"])
     assert code == 0
+
     def no_top_summand(c, route=tilting._tilting_from_weyl):
         return [*route(c)[:-1], 0] if c else []
 

@@ -19,11 +19,11 @@ algebraic groups", Math. Z. 1993): ``T(2k+1) = T(1) T(k)^[1]`` and
   ``2j+1``, plus ``2 T(2k+1)``.
 - ``_tilting_from_weyl``: on Weyl characters, ``T(1) chi(k)^[1] =
   chi(2k+1)`` and ``T(2) chi(k)^[1] = chi(2k+2) + chi(2k)``, so the digits
-  also turn Weyl multiplicities into tilting ones.  The odd Weyl entries
-  of ``sum_m x_m T(m)`` come from the ``T(2k+1)`` alone: they are the Weyl
-  entries of ``sum_k x_(2k+1) T(k)``.  Entry ``2s`` is ``z_s + z_(s+1)``,
-  where ``z_0 = x_0`` and ``z_(k+1)`` is Weyl entry ``k`` of ``sum_k
-  x_(2k+2) T(k)``, so ``z`` is the alternating suffix sums of the even
+  also turn Weyl multiplicities into tilting ones.  In ``sum_m x_m T(m)``,
+  Weyl entry ``2k+1`` comes from the ``T(2j+1)`` alone: it is Weyl entry
+  ``k`` of ``sum_j x_(2j+1) T(j)``.  Entry ``2s`` is ``z_s + z_(s+1)``,
+  where ``z_0 = x_0`` and ``z_(k+1)`` is Weyl entry ``k`` of ``sum_j
+  x_(2j+2) T(j)``, so ``z`` is the alternating suffix sums of the even
   entries.  One recursion on each half: ``O(n log n)`` additions.
   ``tensor_power_decompose`` reads it on the Weyl multiplicities of
   ``V^r``, the ballot numbers ``C(r, i) - C(r, i-1)`` at ``r - 2i``.

@@ -262,6 +262,12 @@ def test_tensor_power_dimensions():
         assert all((m - r) % 2 == 0 for m, _ in ts.entries), r  # V^r has r's parity
 
 
+def test_tensor_power_parity():
+    # V^r only contains indices of the same parity as r
+    for r in range(10):
+        assert all((m - r) % 2 == 0 for m in tensor_power_decompose(r).as_dict())
+
+
 # ----------------------------------------------------------------------
 # polynomial realization and the functor
 
